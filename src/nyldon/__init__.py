@@ -5,8 +5,8 @@ lexicographically nondecreasing shorter Nyldon words; every other word
 factors that way uniquely. The package provides:
 
 - exact brute-force oracles straight from the definitions (`oracle`),
-- a linear-time right-to-left stack factorizer whose suffix comparisons
-  are answered by a suffix-array/LCP/RMQ engine (`fastfactor`),
+- a linear-time right-to-left stack factorizer whose factor comparisons
+  touch only the letters the shorter factor spans (`fastfactor`),
 - the circular contraction algorithm that finds the unique member
   rotation of a primitive word, plus its linear factorization variant,
   generic over order policies (`melancon`),
@@ -34,6 +34,7 @@ from .analysis import (
 from .errors import (
     AlphabetMismatchError,
     BudgetExceededError,
+    InvariantError,
     NotPrimitiveError,
     NyldonError,
     PolicyViolationError,
@@ -92,6 +93,7 @@ __all__ = [
     "Factorization",
     "GeneratedSet",
     "HallVerdict",
+    "InvariantError",
     "KBoundReport",
     "LEX",
     "LazardReport",

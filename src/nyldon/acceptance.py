@@ -208,7 +208,7 @@ def _criterion_5() -> tuple[bool, str]:
     for _ in range(10_000):
         n = rng.randint(1, 10_000)
         w = Word(tuple(rng.randrange(2) for _ in range(n)), BINARY)
-        _, comparisons = fastfactor.factorize_with_stats(w, mode="auto")
+        _, comparisons = fastfactor.factorize_with_stats(w)
         if comparisons > 2 * n - 1:
             violations += 1
         worst_ratio = max(worst_ratio, comparisons / (2 * n - 1))

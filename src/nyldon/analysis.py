@@ -26,7 +26,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import fastfactor, melancon
-from .errors import BudgetExceededError, NotPrimitiveError
+from .errors import BudgetExceededError, InvariantError, NotPrimitiveError
 from .words import Alphabet, Word, is_primitive, lyndon_words, minimal_period
 
 DEFAULT_OP_BUDGET = 5_000_000
@@ -212,9 +212,8 @@ def power_profile(w: Word, k: int) -> PowerProfile:
         prefix = tuple(factors[:best_start])
         suffix = tuple(factors[best_start + best_len :])
         K = k - best_len
-        assert K <= math.floor(math.log2(len(w))) + 1, (
-            f"power deficit K={K} exceeds bound for |w|={len(w)}"
-        )
+        if K > math.floor(math.log2(len(w))) + 1:
+            raise InvariantError(f"power deficit K={K} exceeds bound for |w|={len(w)}")
     return PowerProfile(w, n, k, prefix, best_len, suffix, K)
 
 
@@ -278,6 +277,8 @@ def k_bound_scan(
         k = math.floor(math.log2(max_len)) + 3
     if k < 1:
         raise ValueError("k must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
 
     reps = [w.letters for w in lyndon_words(alphabet, max_len)]
     tasks = [(alphabet.size, letters, k) for letters in reps]
@@ -368,6 +369,8 @@ def lyndon_suffix_check(
     nonincreasing Lyndon factorization has a single factor)."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     lyndon_set = frozenset(
         w.letters for w in lyndon_words(alphabet, max_len)
     )

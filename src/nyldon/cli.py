@@ -5,7 +5,8 @@ lazard, circular-check, power-scan, lyndon-check, selftest, bench.
 
 Exit codes: 0 on success, 1 on domain errors (periodic input, order-policy
 violations, budget caps) with a one-line ``error: ...`` diagnostic on stderr,
-2 on usage errors (unknown flags, malformed words).
+2 on usage errors (unknown flags or policies, malformed words, out-of-range
+values).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 
 from . import analysis, fastfactor, hallsets, lazard, melancon, oracle
 from .errors import NyldonError
-from .order import OrderPolicy, get_policy
+from .order import LEX, CountingPolicy, OrderPolicy, get_policy
 from .words import Alphabet, Word
 
 
@@ -31,7 +32,10 @@ def _word(text: str, alphabet: Alphabet) -> Word:
 
 
 def _policy(args: argparse.Namespace) -> OrderPolicy:
-    return get_policy(args.policy)
+    try:
+        return get_policy(args.policy)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -283,24 +287,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     while n <= args.max_len:
         letters = tuple(rng.randrange(alphabet.size) for _ in range(n))
         word = Word(letters, alphabet)
-        for algorithm in ("fast", "naive", "melancon"):
+        for algorithm in ("fast", "melancon"):
             start = time.perf_counter_ns()
             if algorithm == "fast":
-                _, comparisons = fastfactor.factorize_with_stats(word, mode="engine")
-            elif algorithm == "naive":
-                _, comparisons = fastfactor.factorize_with_stats(word, mode="naive")
+                _, comparisons = fastfactor.factorize_with_stats(word)
             else:
-                calls = 0
-
-                def counted(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-                    nonlocal calls
-                    calls += 1
-                    return (u > v) - (u < v)
-
-                melancon.factorize(
-                    word, OrderPolicy("bench-lex", counted, assume_nyldon_like=True)
-                )
-                comparisons = calls
+                counted = CountingPolicy(LEX)
+                melancon.factorize(word, counted)
+                comparisons = counted.calls
             nanos = time.perf_counter_ns() - start
             print(f"{n},{algorithm},{comparisons},{nanos}")
         n *= 2

@@ -32,3 +32,9 @@ class PolicyViolationError(NyldonError):
 
 class BudgetExceededError(NyldonError):
     """An enumeration or scan exceeded its configured budget."""
+
+
+class InvariantError(NyldonError):
+    """An internal invariant or a proven bound failed: a bug, or malformed
+    state handed in by the caller. Raised explicitly so the check survives
+    ``python -O``."""

@@ -3,205 +3,50 @@
 The algorithm scans the word right to left, prepending each letter as a new
 factor and merging the two leftmost factors while the first compares
 lexicographically greater than the second. It needs at most 2|w|-1 substring
-comparisons; with the suffix-array engine below each comparison is O(1), so
-the whole factorization is linear up to the engine construction.
+comparisons.
 
-Two comparison back ends exist per the differential-testing contract:
-
-* "engine": suffix array (prefix doubling), adjacent-suffix LCP (binary
-  lifting over the doubling ranks) and a sparse-table range minimum, giving
-  O(1) three-way comparison of arbitrary index ranges.
-* "naive": direct slice comparison, cheap for short words.
-
-"auto" (the default) picks the engine once words are long enough for the
-linear bound to matter.
+Every comparison goes through `ComparisonEngine`, which compares slices of
+the word's letters (as bytes when the alphabet allows) and touches only the
+first min(|u|, |v|) letters of the two factors.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .words import Factorization, Word
-
-AUTO_ENGINE_MIN = 1024
 
 
 class ComparisonEngine:
-    """O(1) lexicographic comparison of index ranges of a fixed base word."""
+    """Lexicographic comparison of index ranges of a fixed base word.
+
+    The letters are stored as `bytes` when every letter is below 256, so a
+    comparison is a C-level slice compare; larger alphabets keep the tuple.
+    Bytes order equals tuple order on such letters.
+    """
 
     def __init__(self, letters: tuple[int, ...]):
-        self.letters = tuple(letters)
-        n = len(self.letters)
-        self.n = n
-        levels = _rank_levels(self.letters)
-        final = levels[-1]
-        sa = np.argsort(final, kind="stable")
-        self.suffix_array = sa.tolist()
-        self.rank = final.tolist()
-        lcp = _adjacent_lcp(levels, sa, n)
-        self.lcp = lcp.tolist()
-        self._table = _sparse_table(lcp)
-
-    def lcp_of_suffixes(self, i: int, j: int) -> int:
-        """Length of the longest common prefix of the suffixes at i and j."""
-        if i == j:
-            return self.n - i
-        ri, rj = self.rank[i], self.rank[j]
-        lo, hi = (ri, rj) if ri < rj else (rj, ri)
-        t = (hi - lo).bit_length() - 1
-        row = self._table[t]
-        span = 1 << t
-        return min(row[lo], row[hi - span])
+        try:
+            self.letters: bytes | tuple[int, ...] = bytes(letters)
+        except ValueError:
+            self.letters = tuple(letters)
 
     def compare(self, a1: int, b1: int, a2: int, b2: int) -> int:
         """Three-way compare of letters[a1:b1] vs letters[a2:b2]."""
         len1 = b1 - a1
         len2 = b2 - a2
-        if a1 == a2:
-            common = len1 if len1 < len2 else len2
-        else:
-            common = self.lcp_of_suffixes(a1, a2)
-            if common > len1:
-                common = len1
-            if common > len2:
-                common = len2
-        if common >= len1:
-            if len1 == len2:
-                return 0
-            return -1 if len1 < len2 else 1
-        if common >= len2:
-            return 1
-        c1 = self.letters[a1 + common]
-        c2 = self.letters[a2 + common]
-        return -1 if c1 < c2 else 1
-
-
-def _rank_levels(letters: tuple[int, ...]) -> list[np.ndarray]:
-    """Suffix ranks for prefix widths 1, 2, 4, ... (prefix doubling)."""
-    n = len(letters)
-    a = np.asarray(letters, dtype=np.int64)
-    _, rank = np.unique(a, return_inverse=True)
-    rank = rank.astype(np.int64)
-    levels = [rank]
-    width = 1
-    while width < n and int(levels[-1].max()) < n - 1:
-        rank = levels[-1]
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - width] = rank[width:]
-        order = np.lexsort((second, rank))
-        r1, r2 = rank[order], second[order]
-        step = np.empty(n, dtype=np.int64)
-        step[0] = 0
-        step[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.cumsum(step)
-        levels.append(new_rank)
-        width *= 2
-    return levels
-
-
-def _adjacent_lcp(levels: list[np.ndarray], sa: np.ndarray, n: int) -> np.ndarray:
-    """LCP of each adjacent pair in suffix order, by binary lifting.
-
-    Equal ranks at width 2^t imply the two suffixes genuinely share 2^t
-    letters (padding can only match padding, which would make the suffixes
-    identical), so descending the widths accumulates the exact LCP.
-    """
-    m = max(n - 1, 0)
-    lcp = np.zeros(m, dtype=np.int64)
-    i = sa[:-1].astype(np.int64).copy()
-    j = sa[1:].astype(np.int64).copy()
-    for t in range(len(levels) - 1, -1, -1):
-        width = 1 << t
-        eq = np.zeros(m, dtype=bool)
-        valid = (i < n) & (j < n)
-        eq[valid] = levels[t][i[valid]] == levels[t][j[valid]]
-        lcp[eq] += width
-        i[eq] += width
-        j[eq] += width
-    return lcp
-
-
-def _sparse_table(values: np.ndarray) -> list[list[int]]:
-    table = [values.tolist()]
-    current = values
-    span = 1
-    m = len(values)
-    while 2 * span <= m:
-        current = np.minimum(current[: m - 2 * span + 1], current[span : m - span + 1])
-        table.append(current.tolist())
-        span *= 2
-    return table
-
-
-def build_engine(word: Word) -> ComparisonEngine:
-    """Comparison engine over the word's letters (O(1) range compares)."""
-    if len(word) == 0:
-        raise ValueError("engine needs a nonempty word")
-    return ComparisonEngine(word.letters)
-
-
-def _naive_compare_factory(letters: tuple[int, ...]):
-    def compare(a1: int, b1: int, a2: int, b2: int) -> int:
-        u = letters[a1:b1]
-        v = letters[a2:b2]
-        if u == v:
+        common = len1 if len1 < len2 else len2
+        letters = self.letters
+        u = letters[a1 : a1 + common]
+        v = letters[a2 : a2 + common]
+        if u != v:
+            return -1 if u < v else 1
+        if len1 == len2:
             return 0
-        return -1 if u < v else 1
-
-    return compare
+        return -1 if len1 < len2 else 1
 
 
-def _engine_compare_factory(engine: ComparisonEngine):
-    """Closure equivalent of ComparisonEngine.compare with local lookups,
-    for the hot path (hundreds of thousands of calls per factorization)."""
-    letters = engine.letters
-    rank = engine.rank
-    table = engine._table
-
-    def compare(a1: int, b1: int, a2: int, b2: int) -> int:
-        len1 = b1 - a1
-        len2 = b2 - a2
-        if a1 == a2:
-            common = len1 if len1 < len2 else len2
-        else:
-            lo = rank[a1]
-            hi = rank[a2]
-            if lo > hi:
-                lo, hi = hi, lo
-            t = (hi - lo).bit_length() - 1
-            row = table[t]
-            x = row[lo]
-            y = row[hi - (1 << t)]
-            common = x if x < y else y
-            if common > len1:
-                common = len1
-            if common > len2:
-                common = len2
-        if common >= len1:
-            if len1 == len2:
-                return 0
-            return -1 if len1 < len2 else 1
-        if common >= len2:
-            return 1
-        return -1 if letters[a1 + common] < letters[a2 + common] else 1
-
-    return compare
-
-
-def _resolve_compare(letters: tuple[int, ...], mode: str):
-    if mode == "auto":
-        mode = "engine" if len(letters) >= AUTO_ENGINE_MIN else "naive"
-    if mode == "engine":
-        return _engine_compare_factory(ComparisonEngine(letters))
-    if mode == "naive":
-        return _naive_compare_factory(letters)
-    raise ValueError(f"unknown comparison mode {mode!r}")
-
-
-def factor_ranges(letters: tuple[int, ...], mode: str = "auto"):
+def factor_ranges(letters: tuple[int, ...]):
     """(start, end) factor ranges left to right, plus the comparison count."""
-    compare = _resolve_compare(letters, mode)
+    compare = ComparisonEngine(letters).compare
     # stack[-1] is the leftmost factor; merging extends the incoming range
     # over its right neighbours before it is pushed.
     stack: list[tuple[int, int]] = []
@@ -221,16 +66,16 @@ def factor_ranges(letters: tuple[int, ...], mode: str = "auto"):
     return stack, comparisons
 
 
-def factorize_with_stats(word: Word, mode: str = "auto") -> tuple[Factorization, int]:
-    ranges, comparisons = factor_ranges(word.letters, mode)
+def factorize_with_stats(word: Word) -> tuple[Factorization, int]:
+    ranges, comparisons = factor_ranges(word.letters)
     factors = tuple(Word(word.letters[a:b], word.alphabet) for a, b in ranges)
     return Factorization(factors), comparisons
 
 
-def nyldon_factorize(word: Word, mode: str = "auto") -> Factorization:
-    return factorize_with_stats(word, mode)[0]
+def nyldon_factorize(word: Word) -> Factorization:
+    return factorize_with_stats(word)[0]
 
 
-def is_nyldon(word: Word, mode: str = "auto") -> bool:
-    ranges, _ = factor_ranges(word.letters, mode)
+def is_nyldon(word: Word) -> bool:
+    ranges, _ = factor_ranges(word.letters)
     return len(ranges) == 1

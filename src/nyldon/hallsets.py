@@ -100,6 +100,8 @@ def generate(
     PolicyViolationError, so orders that do not satisfy it (such as the
     reversed lexicographic one) need validate=False.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     _check_budget(alphabet, max_len, budget)
     members: set[tuple[int, ...]] = {(c,) for c in range(alphabet.size)}
     for n in range(2, max_len + 1):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .words import Alphabet, Word
 
 DEFAULT_WORD_BUDGET = 2_000_000
@@ -117,7 +117,8 @@ def finishing_step(states: list[LazardState]) -> LazardReport:
         if final_members <= (set(st.chosen) | set(st.current)):
             fs = st.step
             break
-    assert fs is not None, "a complete run covers its own output"
+    if fs is None:
+        raise InvariantError("a complete run must cover its own output")
     stop = chosen[fs - 2] if fs >= 2 else None
     return LazardReport(
         alphabet=last.alphabet,
@@ -147,7 +148,7 @@ def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
         if word in first_seen:
             if word in in_y:
                 return  # set semantics: the extension already exists
-            raise AssertionError(
+            raise InvariantError(
                 f"removed word {word!r} was regenerated at step {step}"
             )
         first_seen[word] = step
@@ -177,7 +178,8 @@ def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
                     ext = ext + u
                     add(ext, step + 1)
 
-    assert len(first_seen) == len(chosen), "every word seen must get removed"
+    if len(first_seen) != len(chosen):
+        raise InvariantError("every word seen must get removed")
     total = step
     fs = max(first_seen.values())
     stop = chosen[fs - 2] if fs >= 2 else None
@@ -203,7 +205,8 @@ def kraft_counts(state: LazardState, max_len: int) -> list[int]:
         if p > max_len:
             continue
         counts[p] -= 1
-        assert counts[p] >= 0, "removed word must be counted present"
+        if counts[p] < 0:
+            raise InvariantError(f"removed word {u} was not counted present")
         for length in range(p, max_len + 1):
             counts[length] += counts[length - p]
     return counts
@@ -230,7 +233,8 @@ def materialize_y(
         p = len(ut)
         if p > max_len:
             continue
-        assert ut in current, "history must remove a present word"
+        if ut not in current:
+            raise InvariantError(f"history removes {u}, which is not present")
         current.remove(ut)
         additions: list[tuple[int, ...]] = []
         for x in current:
@@ -313,17 +317,19 @@ def largest_member_upto(alphabet: Alphabet, length: int) -> Word:
 def predicted_stop_word(alphabet: Alphabet, length: int) -> Word:
     """Closed form for the stop word of a run truncated at `length`.
 
-    Exact for odd lengths >= 5 and even lengths >= 6; with top letter m and
-    second letter m' the word is m m' m^((length-5)/2) for odd lengths and
-    m m' m^((length-6)/2) m' for even ones.
+    Exact for odd lengths >= 5 and for even lengths 6 and >= 10; with top
+    letter m and second letter m' the word is m m' m^((length-5)/2) for odd
+    lengths and m m' m^((length-6)/2) m' for even ones. Length 8 is excluded:
+    there the even form is the square (m m')^2, which is not primitive and so
+    never removed (binary runs stop after 101, ternary ones after 2120).
     """
     m = alphabet.size - 1
     if length % 2 == 1:
         if length < 5:
             raise ValueError("closed form needs odd length >= 5")
         return Word((m, m - 1) + (m,) * ((length - 5) // 2), alphabet)
-    if length < 6:
-        raise ValueError("closed form needs even length >= 6")
+    if length < 6 or length == 8:
+        raise ValueError("closed form needs even length 6 or >= 10")
     return Word((m, m - 1) + (m,) * ((length - 6) // 2) + (m - 1,), alphabet)
 
 

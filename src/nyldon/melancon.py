@@ -32,22 +32,27 @@ import heapq
 from dataclasses import dataclass
 from itertools import count as _fresh
 
-from .errors import NotPrimitiveError, PolicyViolationError
+from .errors import InvariantError, NotPrimitiveError, PolicyViolationError
+from .fastfactor import ComparisonEngine
 from .order import LEX, OrderPolicy
 from .words import Factorization, Word, is_primitive, minimal_period
 
-_ENGINE_MIN = 64  # below this, slice comparison beats building a suffix array
+# Lex compares on bases of at least this many letters go through fastfactor's
+# bounded comparator, which slices only min(|u|, |v|) letters. Shorter bases
+# compare tuple slices through the policy, which spares a bytes encoding per
+# word in scans over thousands of short words. Both sides were measured: bytes
+# at every length slowed set generation over short words, and policy slices at
+# every length slowed contraction of 1 0^k at 10^3 letters.
+_ENGINE_MIN = 64
 
 
 def _range_comparator(base: tuple[int, ...], policy: OrderPolicy):
     """Three-way compare of (start, length) ranges of `base` under the policy."""
     if policy.id == "lex" and len(base) >= _ENGINE_MIN:
-        from .fastfactor import ComparisonEngine
-
-        engine = ComparisonEngine(base)
+        engine_compare = ComparisonEngine(base).compare
 
         def compare(s1: int, l1: int, s2: int, l2: int) -> int:
-            return engine.compare(s1, s1 + l1, s2, s2 + l2)
+            return engine_compare(s1, s1 + l1, s2, s2 + l2)
 
         return compare
 
@@ -167,7 +172,8 @@ def _phase_run(
                     contract(p - 1, p)
                 else:
                     p += 1
-            assert all(word_of(b) != min_word for b in blocks)
+            if any(word_of(b) == min_word for b in blocks):
+                raise InvariantError("a linear phase left a minimal block uncontracted")
             snap()
     factorization = Factorization(tuple(factors), f"{policy.id}:nondecreasing")
     return snapshots, None, factorization

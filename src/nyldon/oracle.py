@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .order import OrderPolicy, get_policy
 from .words import Alphabet, Factorization, Word
 
@@ -273,7 +273,8 @@ def primitive_necklace_count(alphabet_size: int, n: int) -> int:
     total = sum(
         _mobius(d) * alphabet_size ** (n // d) for d in range(1, n + 1) if n % d == 0
     )
-    assert total % n == 0
+    if total % n:
+        raise InvariantError(f"necklace sum {total} is not divisible by {n}")
     return total // n
 
 

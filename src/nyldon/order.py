@@ -80,7 +80,11 @@ def register_policy(policy: OrderPolicy) -> None:
 
 
 class CountingPolicy(OrderPolicy):
-    """Wrapper that counts comparisons, for benchmarks and bound checks."""
+    """Wrapper that counts comparisons, for benchmarks and bound checks.
+
+    Its id differs from the base's, so a fast path keyed on a policy id (the
+    contraction engine's bytes comparator for lex) cannot bypass the count.
+    """
 
     def __init__(self, base: OrderPolicy):
         self.calls = 0
@@ -89,4 +93,4 @@ class CountingPolicy(OrderPolicy):
             self.calls += 1
             return base.compare(u, v)
 
-        super().__init__(base.id, counted, base.assume_nyldon_like)
+        super().__init__(f"counted-{base.id}", counted, base.assume_nyldon_like)

@@ -1,6 +1,10 @@
 """CLI surface: outputs, JSON payloads, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,17 @@ def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_does_not_load_numpy():
+    # every CLI call pays for `import nyldon`, so it must stay light
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import nyldon, sys; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_factor_default(capsys):
@@ -189,14 +204,17 @@ def test_bench_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,algorithm,comparisons,nanos"
-    assert len(lines) == 1 + 2 * 3  # n = 64 and 128, three algorithms each
+    assert len(lines) == 1 + 2 * 2  # n = 64 and 128, two algorithms each
     for line in lines[1:]:
         n, algorithm, comparisons, nanos = line.split(",")
-        assert algorithm in {"fast", "naive", "melancon"}
-        if algorithm in {"fast", "naive"}:
+        assert algorithm in {"fast", "melancon"}
+        if algorithm == "fast":
             # the stack factorizer honors the comparison bound; the
             # contraction algorithm has no such guarantee
             assert int(comparisons) <= 2 * int(n) - 1
+        else:
+            # every contraction comparison is counted, none bypassed
+            assert int(comparisons) > 0
         assert int(nanos) > 0
 
 
@@ -211,6 +229,27 @@ def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "factor", "abc")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "0011", "--policy", "nope"),
+        ("enumerate", "--max-len", "4", "--policy", "nope"),
+        ("enumerate", "--max-len", "0"),
+        ("enumerate", "--max-len", "-1"),
+        ("power-scan", "--max-len", "4", "--jobs", "0"),
+        ("power-scan", "--max-len", "4", "--jobs", "-1"),
+        ("lyndon-check", "--max-len", "4", "--jobs", "0"),
+        ("lyndon-check", "--max-len", "4", "--jobs", "-1"),
+    ],
+)
+def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_bad_policy_for_fast_algorithm(capsys):

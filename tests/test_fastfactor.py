@@ -1,4 +1,4 @@
-"""Stack factorizer: oracle agreement, comparison bound, engine correctness."""
+"""Stack factorizer: oracle agreement, comparison bound, comparator correctness."""
 
 import random
 
@@ -9,6 +9,7 @@ from nyldon import (
     BINARY,
     TERNARY,
     Word,
+    factorize,
     factorize_with_stats,
     is_nyldon,
     is_nyldon_bruteforce,
@@ -16,7 +17,7 @@ from nyldon import (
     nyldon_factorize,
     words_up_to,
 )
-from nyldon.fastfactor import AUTO_ENGINE_MIN, build_engine
+from nyldon.fastfactor import ComparisonEngine
 
 letters_st = st.lists(st.integers(0, 1), min_size=1, max_size=60).map(tuple)
 
@@ -36,51 +37,61 @@ def test_agrees_with_oracle_random(t):
     assert nyldon_factorize(w).factors == nyldon_factorization_bruteforce(w).factors
 
 
-@given(letters_st)
-def test_modes_agree(t):
-    w = Word(t, BINARY)
-    f_naive, c_naive = factorize_with_stats(w, mode="naive")
-    f_engine, c_engine = factorize_with_stats(w, mode="engine")
-    assert f_naive.factors == f_engine.factors
-    assert c_naive == c_engine
-
-
 @settings(max_examples=30)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=5000).map(tuple))
 def test_comparison_bound(t):
     w = Word(t, BINARY)
-    _, comparisons = factorize_with_stats(w, mode="auto")
+    _, comparisons = factorize_with_stats(w)
     assert comparisons <= 2 * len(w) - 1
 
 
-def test_long_words_use_engine_and_stay_in_bound():
+def test_long_words_stay_in_bound():
     rng = random.Random(7)
     for _ in range(20):
-        n = rng.randint(AUTO_ENGINE_MIN, 4 * AUTO_ENGINE_MIN)
+        n = rng.randint(1024, 4096)
         w = Word(tuple(rng.randrange(2) for _ in range(n)), BINARY)
-        f, comparisons = factorize_with_stats(w, mode="auto")
+        f, comparisons = factorize_with_stats(w)
         assert comparisons <= 2 * n - 1
         assert f.word == w
         assert f.verify(w)
 
 
-def test_engine_matches_tuple_comparison():
-    rng = random.Random(13)
-    n = 300
-    t = tuple(rng.randrange(2) for _ in range(n))
-    engine = build_engine(Word(t, BINARY))
-    for _ in range(2000):
+binary_st = st.lists(st.integers(0, 1), min_size=1, max_size=80)
+# a 300-letter alphabet; the leading 299 forces the tuple-storage path
+wide_st = st.lists(st.integers(0, 299), max_size=80).map(lambda t: [299] + t)
+
+
+@settings(max_examples=50)
+@given(st.one_of(binary_st, wide_st), st.randoms(use_true_random=False))
+def test_comparator_matches_tuple_order(letters, rng):
+    t = tuple(letters)
+    engine = ComparisonEngine(t)
+    assert isinstance(engine.letters, bytes) == (max(t) < 256)
+    n = len(t)
+    for _ in range(200):
         a1, a2 = rng.randrange(n), rng.randrange(n)
-        b1 = rng.randint(a1 + 1, n)
-        b2 = rng.randint(a2 + 1, n)
+        b1 = rng.randint(a1, n)
+        b2 = rng.randint(a2, n)
         u, v = t[a1:b1], t[a2:b2]
         assert engine.compare(a1, b1, a2, b2) == (u > v) - (u < v)
-        i, j = rng.randrange(n), rng.randrange(n)
-        suf_i, suf_j = t[i:], t[j:]
-        lcp = 0
-        while lcp < min(len(suf_i), len(suf_j)) and suf_i[lcp] == suf_j[lcp]:
-            lcp += 1
-        assert engine.lcp_of_suffixes(i, j) == lcp
+
+
+def test_families_agree_with_contraction():
+    n = 2000
+    prev, fib = [1], [1, 0]
+    while len(fib) < n:
+        prev, fib = fib, fib + prev
+    families = {
+        "1 0^k": [1] + [0] * (n - 1),
+        "0^k 1": [0] * (n - 1) + [1],
+        "1^k 0": [1] * (n - 1) + [0],
+        "(10)^k": [1, 0] * (n // 2),
+        "fibonacci": fib[:n],
+        "thue-morse": [bin(i).count("1") & 1 for i in range(n)],
+    }
+    for name, letters in families.items():
+        w = Word(tuple(letters), BINARY)
+        assert nyldon_factorize(w).factors == factorize(w).factors, name
 
 
 def test_is_nyldon_examples():

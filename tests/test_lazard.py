@@ -7,6 +7,8 @@ import pytest
 from nyldon import (
     BINARY,
     TERNARY,
+    InvariantError,
+    LazardState,
     Word,
     code_check,
     count_words_after_stop,
@@ -63,11 +65,17 @@ def test_reference_run_summary():
 
 
 def test_predicted_stop_words_match_measured():
-    for n in (5, 6, 7, 9, 10, 11):
-        assert lazard_report(BINARY, n).stop_word == predicted_stop_word(BINARY, n)
-    assert str(predicted_stop_word(BINARY, 15)) == "1011111"
+    for alphabet, lengths in ((BINARY, range(5, 17)), (TERNARY, range(5, 11))):
+        for n in lengths:
+            measured = lazard_report(alphabet, n).stop_word
+            if n == 8:
+                # outside the stated domain: the even form would be (m m')^2
+                assert str(measured) == ("101" if alphabet is BINARY else "2120")
+                with pytest.raises(ValueError):
+                    predicted_stop_word(alphabet, n)
+            else:
+                assert measured == predicted_stop_word(alphabet, n)
     assert str(predicted_stop_word(BINARY, 18)) == "101111110"
-    assert str(predicted_stop_word(TERNARY, 7)) == "212"
     with pytest.raises(ValueError):
         predicted_stop_word(BINARY, 4)
 
@@ -98,6 +106,17 @@ def test_kraft_counts_match_materialization():
         mat = materialize_y(st, 14)
         for length in range(1, 15):
             assert counts[length] == sum(1 for w in mat if len(w) == length)
+
+
+def test_replaying_a_malformed_history_raises():
+    # removing the word 0 three times: the third removal has nothing to remove
+    st = lazard_run(BINARY, 5)[0]
+    zero = Word.parse("0")
+    bad = LazardState(BINARY, 5, 4, (zero, zero, zero), st.current, zero)
+    with pytest.raises(InvariantError):
+        kraft_counts(bad, 4)
+    with pytest.raises(InvariantError):
+        materialize_y(bad, 4)
 
 
 def test_kraft_sum_step1_is_exactly_one():

@@ -244,15 +244,20 @@ class KBoundReport:
 def _profile_rep(args: tuple[int, tuple[int, ...], int]) -> tuple[tuple[int, ...], int | None, bool]:
     """Worker: profile one conjugacy-class representative at k, k+1, k+2.
 
-    Returns (letters, K, stable) where stable records that the prefix and
-    suffix factor lists and the deficit agree across the three exponents.
+    Returns (letters, K, ok): ok is false when the deficit exceeds its bound
+    or when the prefix and suffix factor lists and the deficit differ across
+    the three exponents; K is None when the bound failed or the profile has
+    no central run.
     """
     size, letters, k = args
     w = Word(letters, Alphabet(size))
-    profiles = [power_profile(w, kk) for kk in (k, k + 1, k + 2)]
+    try:
+        profiles = [power_profile(w, kk) for kk in (k, k + 1, k + 2)]
+    except InvariantError:  # the deficit bound failed
+        return letters, None, False
     base = profiles[0]
     if base.central_copies == 0:
-        return letters, None, all(p.central_copies == 0 for p in profiles)
+        return letters, None, True
     stable = all(
         p.prefix_factors == base.prefix_factors
         and p.suffix_factors == base.suffix_factors
@@ -270,7 +275,8 @@ def k_bound_scan(
 ) -> KBoundReport:
     """Profile every primitive conjugacy class up to max_len (one Lyndon
     representative each) at exponent k (default floor(log2 max_len) + 3),
-    asserting the deficit bound and prefix/suffix stability at k, k+1, k+2."""
+    checking the deficit bound and prefix/suffix stability at k, k+1, k+2.
+    A word that fails either check is listed in `violations`."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if k is None:
@@ -299,18 +305,15 @@ def k_bound_scan(
     violations: list[Word] = []
     no_central: list[Word] = []
     max_K = 0
-    for letters, K, stable in results:
+    for letters, K, ok in results:
         w = Word(letters, alphabet)
-        if K is None:
+        if not ok:
+            violations.append(w)
+        elif K is None:
             no_central.append(w)
-            continue
-        if not stable:
-            violations.append(w)
-            continue
-        histogram[K] = histogram.get(K, 0) + 1
-        max_K = max(max_K, K)
-        if len(w) > 1 and K > math.floor(math.log2(len(w))) + 1:
-            violations.append(w)
+        else:
+            histogram[K] = histogram.get(K, 0) + 1
+            max_K = max(max_K, K)
     return KBoundReport(
         alphabet=alphabet,
         max_len=max_len,

@@ -187,10 +187,13 @@ def _cmd_verify_hall(args: argparse.Namespace) -> int:
 
 def _cmd_lazard(args: argparse.Namespace) -> int:
     alphabet = _alphabet(args)
-    states = lazard.lazard_run(alphabet, args.max_len)
-    report = lazard.finishing_step(states)
+    if args.kraft is not None and args.kraft < 1:
+        raise ValueError("--kraft must be at least 1")
+    report = lazard.lazard_report(alphabet, args.max_len)
     payload = report.to_dict()
     lines: list[str] = []
+    snapshots = args.trace or args.kraft is not None
+    states = lazard.lazard_run(alphabet, args.max_len) if snapshots else []
     if args.trace:
         payload["trace"] = []
         for st in states:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import melancon, oracle
-from .errors import BudgetExceededError, PolicyViolationError
+from .errors import BudgetExceededError, InvariantError, PolicyViolationError
 from .order import OrderPolicy, get_policy
 from .words import Alphabet, Word
 
@@ -119,7 +119,7 @@ def generate(
         for tup in rng.sample(pool, min(cross_check, len(pool))):
             word = Word(tup, alphabet)
             if oracle.is_member_bruteforce(word, gset) != (tup in members):
-                raise AssertionError(
+                raise InvariantError(
                     f"contraction disagrees with the definitional rule on {word}"
                 )
 

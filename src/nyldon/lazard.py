@@ -6,10 +6,12 @@ that still fits under the length bound. The sequence of removed words
 enumerates the members in increasing lexicographic order; the run stops when
 the working set is reduced to a single word.
 
-Two drivers are provided: `lazard_run` keeps every intermediate state (useful
-for small bounds and for inspecting the working sets), while `lazard_report`
-streams the same procedure with byte-encoded words and a lazy-deletion heap so
-that bounds around 18 letters complete quickly.
+One driver runs the procedure, over byte-encoded words (letter tuples for
+alphabets above 256 letters) with a heap and a per-length index, so that
+bounds around 20 letters complete quickly. `lazard_report` streams it and keeps only the
+removed words; `lazard_run` adds a per-step snapshot of the working set (under
+a word budget); `materialize_y` replays a removal history through the same
+elimination step.
 
 The finishing step of a complete run is the first step whose removed-so-far
 words together with the working set already cover every word the run will ever
@@ -20,6 +22,7 @@ regimes where they are exact.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from collections import defaultdict
@@ -76,32 +79,95 @@ class CodeCheck:
         return self.ok
 
 
-def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
-    """Run the procedure keeping full state snapshots (small n only)."""
+def _eliminate(alphabet: Alphabet, n: int, on_step=None, history=None):
+    """The procedure truncated at n, over `bytes` (letter tuples above 256
+    letters), which compare in lex order like the words they encode.
+
+    Each step removes the least word u of the working set, or the next word
+    of `history` up to length n when one is given, then adds every x u^j
+    (j >= 1) that fits under the bound. `on_step(step, u, current)` is called
+    before each removal. Returns the removed words, the finishing step (the
+    last step at which a word first appears) and the final working set.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    current: set[Word] = {Word((c,), alphabet) for c in range(alphabet.size)}
+    encode = bytes if alphabet.size <= 256 else tuple
+    current = {encode((c,)) for c in range(alphabet.size)}
+    seen, heap = set(current), sorted(current)
+    by_len: dict[int, set] = defaultdict(set, {1: set(current)})
+    if history is None:  # pop the least word until the heap runs dry
+        removals = iter(lambda: heapq.heappop(heap) if heap else None, None)
+    else:
+        removals = (encode(u.letters) for u in history if len(u) <= n)
+    chosen: list = []
+    finishing = 1
+    for u in removals:
+        step = len(chosen) + 1
+        if on_step is not None:
+            on_step(step, u, current)
+        if u not in current:
+            raise InvariantError(
+                f"history removes {Word(tuple(u), alphabet)}, which is not present"
+            )
+        current.remove(u)
+        by_len[len(u)].remove(u)
+        chosen.append(u)
+        p = len(u)
+        # Longest x first: an extension is longer than its x, so each length
+        # is read before this step adds to it.
+        for q in range(n - p, 0, -1):
+            for x in by_len[q]:
+                ext = x
+                while len(ext) + p <= n:
+                    ext = ext + u
+                    if ext in seen:
+                        if ext in current:
+                            continue  # set semantics: the extension exists
+                        raise InvariantError(
+                            f"removed word {Word(tuple(ext), alphabet)} was "
+                            f"regenerated at step {step + 1}"
+                        )
+                    seen.add(ext)
+                    current.add(ext)
+                    by_len[len(ext)].add(ext)
+                    heapq.heappush(heap, ext)
+                    finishing = step + 1
+    return chosen, finishing, current
+
+
+def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
+    """Run the procedure keeping a snapshot of every step. Raises
+    BudgetExceededError once the snapshots would hold more than
+    DEFAULT_WORD_BUDGET working-set words in total (binary n <= 13 fits)."""
+    words: dict = {}  # encoded word -> Word, so each Word is built once
     chosen: list[Word] = []
     states: list[LazardState] = []
-    step = 0
-    while current:
-        step += 1
-        u = min(current)
+    held = 0
+
+    def snapshot(step: int, u, current: set) -> None:
+        nonlocal held
+        held += len(current)
+        if held > DEFAULT_WORD_BUDGET:
+            raise BudgetExceededError(
+                f"snapshots exceed {DEFAULT_WORD_BUDGET} working-set words at "
+                f"step {step} of the run truncated at {n}"
+            )
+        for x in current - words.keys():
+            words[x] = Word(tuple(x), alphabet)
+        current_words = frozenset({words[x] for x in current})
         states.append(
-            LazardState(alphabet, n, step, tuple(chosen), frozenset(current), u)
+            LazardState(alphabet, n, step, tuple(chosen), current_words, words[u])
         )
-        chosen.append(u)
-        current.remove(u)
-        if not current:
-            break
-        additions: list[Word] = []
-        for x in current:
-            ext = x
-            while len(ext) + len(u) <= n:
-                ext = ext + u
-                additions.append(ext)
-        current.update(additions)
+        chosen.append(words[u])
+
+    _eliminate(alphabet, n, snapshot)
     return states
+
+
+def _report(alphabet: Alphabet, n: int, chosen: tuple[Word, ...], fs: int) -> LazardReport:
+    """The summary of a complete run with these removed words and finishing step."""
+    stop = chosen[fs - 2] if fs >= 2 else None
+    return LazardReport(alphabet, n, len(chosen), fs, stop, len(chosen) - (fs - 1), chosen)
 
 
 def finishing_step(states: list[LazardState]) -> LazardReport:
@@ -112,86 +178,21 @@ def finishing_step(states: list[LazardState]) -> LazardReport:
     last = states[-1]
     chosen = last.chosen + (last.chosen_word,)
     final_members = set(chosen)
-    fs = None
-    for st in states:
-        if final_members <= (set(st.chosen) | set(st.current)):
-            fs = st.step
-            break
-    if fs is None:
+
+    def covers(st: LazardState) -> bool:
+        return final_members <= (set(st.chosen) | set(st.current))
+
+    if not covers(last):
         raise InvariantError("a complete run must cover its own output")
-    stop = chosen[fs - 2] if fs >= 2 else None
-    return LazardReport(
-        alphabet=last.alphabet,
-        n=last.n,
-        total_steps=len(states),
-        finishing_step=fs,
-        stop_word=stop,
-        words_after_stop=len(states) - (fs - 1),
-        chosen=chosen,
-    )
+    # coverage never goes away once reached, so the least covering step bisects
+    fs = states[bisect.bisect_left(states, True, key=covers)].step
+    return _report(last.alphabet, last.n, chosen, fs)
 
 
 def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
     """Run the procedure without keeping states; fast for n up to ~20."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if alphabet.size > 256:
-        raise ValueError("streaming driver encodes letters as single bytes")
-
-    in_y: set[bytes] = set()
-    by_len: dict[int, set[bytes]] = defaultdict(set)
-    heap: list[bytes] = []
-    first_seen: dict[bytes, int] = {}
-    chosen: list[bytes] = []
-
-    def add(word: bytes, step: int) -> None:
-        if word in first_seen:
-            if word in in_y:
-                return  # set semantics: the extension already exists
-            raise InvariantError(
-                f"removed word {word!r} was regenerated at step {step}"
-            )
-        first_seen[word] = step
-        in_y.add(word)
-        by_len[len(word)].add(word)
-        heapq.heappush(heap, word)
-
-    for c in range(alphabet.size):
-        add(bytes([c]), 1)
-
-    step = 0
-    while in_y:
-        step += 1
-        while heap[0] not in in_y:
-            heapq.heappop(heap)
-        u = heapq.heappop(heap)
-        chosen.append(u)
-        in_y.remove(u)
-        by_len[len(u)].remove(u)
-        if not in_y:
-            break
-        p = len(u)
-        for q in range(1, n - p + 1):
-            for x in list(by_len[q]):
-                ext = x
-                while len(ext) + p <= n:
-                    ext = ext + u
-                    add(ext, step + 1)
-
-    if len(first_seen) != len(chosen):
-        raise InvariantError("every word seen must get removed")
-    total = step
-    fs = max(first_seen.values())
-    stop = chosen[fs - 2] if fs >= 2 else None
-    return LazardReport(
-        alphabet=alphabet,
-        n=n,
-        total_steps=total,
-        finishing_step=fs,
-        stop_word=None if stop is None else Word(tuple(stop), alphabet),
-        words_after_stop=total - (fs - 1),
-        chosen=tuple(Word(tuple(b), alphabet) for b in chosen),
-    )
+    encoded, fs, _ = _eliminate(alphabet, n)
+    return _report(alphabet, n, tuple(Word(tuple(b), alphabet) for b in encoded), fs)
 
 
 def kraft_counts(state: LazardState, max_len: int) -> list[int]:
@@ -226,28 +227,16 @@ def materialize_y(
     state: LazardState, max_len: int, budget: int | None = 500_000
 ) -> frozenset[Word]:
     """Replay the removal history to list the working set up to max_len."""
-    alphabet = state.alphabet
-    current: set[tuple[int, ...]] = {(c,) for c in range(alphabet.size)}
-    for u in state.chosen:
-        ut = u.letters
-        p = len(ut)
-        if p > max_len:
-            continue
-        if ut not in current:
-            raise InvariantError(f"history removes {u}, which is not present")
-        current.remove(ut)
-        additions: list[tuple[int, ...]] = []
-        for x in current:
-            ext = x
-            while len(ext) + p <= max_len:
-                ext = ext + ut
-                additions.append(ext)
-        current.update(additions)
+
+    def within_budget(step, u, current: set) -> None:
         if budget is not None and len(current) > budget:
             raise BudgetExceededError(
                 f"materialized set exceeds {budget} words at step {state.step}"
             )
-    return frozenset(Word(t, alphabet) for t in current)
+
+    _, _, current = _eliminate(state.alphabet, max_len, within_budget, state.chosen)
+    within_budget(None, None, current)
+    return frozenset(Word(tuple(x), state.alphabet) for x in current)
 
 
 def code_check(

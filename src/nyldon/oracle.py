@@ -51,7 +51,7 @@ def _tail_factors(suffix: tuple[int, ...], bound: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def _tail_count(suffix: tuple[int, ...], bound: tuple[int, ...]) -> int:
-    """Number of such splits; no early exit, used for uniqueness assertions."""
+    """Number of such splits; no early exit, used for uniqueness checks."""
     m = len(suffix)
     total = 0
     for t in range(1, m + 1):
@@ -71,14 +71,14 @@ def longest_nyldon_suffix(word: Word) -> Word:
     for start in range(len(letters)):
         if _is_nyldon(letters[start:]):
             return word[start:]
-    raise AssertionError("unreachable: single letters are members")
+    raise InvariantError("unreachable: single letters are members")
 
 
 def nyldon_factorization_bruteforce(word: Word, length_cap: int = 64) -> Factorization:
     """The unique nondecreasing factorization, with uniqueness re-verified.
 
     Exhausts every candidate split (via counting, so distinct factorizations
-    cannot hide behind early exits) and asserts exactly one exists.
+    cannot hide behind early exits) and checks that exactly one exists.
     """
     letters = word.letters
     n = len(letters)
@@ -94,7 +94,7 @@ def nyldon_factorization_bruteforce(word: Word, length_cap: int = 64) -> Factori
         if _is_nyldon(letters[:k])
     )
     if total != 1:
-        raise AssertionError(
+        raise InvariantError(
             f"{word} has {total} nondecreasing factorizations, expected exactly 1"
         )
     factors = []
@@ -110,7 +110,7 @@ def nyldon_factorization_bruteforce(word: Word, length_cap: int = 64) -> Factori
                     suffix = suffix[t:]
                     break
         else:
-            raise AssertionError("reconstruction failed despite positive count")
+            raise InvariantError("reconstruction failed despite positive count")
     return Factorization(tuple(factors))
 
 
@@ -225,6 +225,8 @@ def enumerate_members(
     budget: int | None = DEFAULT_WORD_BUDGET,
 ) -> GeneratedSet:
     """Generate the set length by length, straight from the definition."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     total_words = sum(alphabet.size**n for n in range(1, max_len + 1))
     if budget is not None and total_words > budget:
         raise BudgetExceededError(
@@ -270,6 +272,8 @@ def _mobius(n: int) -> int:
 
 def primitive_necklace_count(alphabet_size: int, n: int) -> int:
     """Number of conjugacy classes of primitive words of length n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     total = sum(
         _mobius(d) * alphabet_size ** (n // d) for d in range(1, n + 1) if n % d == 0
     )

@@ -1,5 +1,7 @@
 """CLI surface: outputs, JSON payloads, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nyldon import cli
+from nyldon import BINARY, LEX, InvariantError, analysis, cli, hallsets, oracle
 from nyldon.acceptance import TABLE1_WORDS
 
 
@@ -165,6 +169,16 @@ def test_lazard_kraft(capsys):
     assert out.count("kraft step") == 14
 
 
+def test_lazard_snapshots_are_capped(capsys):
+    code, out, err = run_cli(capsys, "lazard", "--max-len", "14", "--trace")
+    assert (code, out) == (1, "")
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "at step " in err
+    code, out, _ = run_cli(capsys, "lazard", "--max-len", "14")
+    assert code == 0
+    assert "total_steps: 2538" in out
+
+
 def test_lazard_json(capsys):
     code, out, _ = run_cli(
         capsys, "lazard", "--max-len", "5", "--trace", "--json"
@@ -242,6 +256,8 @@ def test_usage_errors(capsys):
         ("power-scan", "--max-len", "4", "--jobs", "-1"),
         ("lyndon-check", "--max-len", "4", "--jobs", "0"),
         ("lyndon-check", "--max-len", "4", "--jobs", "-1"),
+        ("lazard", "--max-len", "3", "--kraft", "0"),
+        ("lazard", "--max-len", "3", "--kraft", "-2"),
     ],
 )
 def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
@@ -266,3 +282,64 @@ def test_melancon_handles_rlex(capsys):
     )
     assert code == 0
     assert out.strip() == "0011"  # 0011 is Lyndon, a single rlex member
+
+
+def test_power_scan_reports_a_deficit_bound_failure(capsys, monkeypatch):
+    # power_profile raises when the deficit bound fails; the scan must list
+    # the word as a violation and finish rather than abort
+    real = analysis.power_profile
+
+    def fails_on_011(w, k):
+        if str(w) == "011":
+            raise InvariantError("power deficit exceeds bound")
+        return real(w, k)
+
+    monkeypatch.setattr(analysis, "power_profile", fails_on_011)
+    report = analysis.k_bound_scan(BINARY, 5, jobs=1)
+    assert [str(w) for w in report.violations] == ["011"]
+    assert report.word_count == sum(report.histogram.values()) + 1
+    code, out, _ = run_cli(capsys, "power-scan", "--max-len", "5")
+    assert code == 1
+    assert "violations: 1" in out
+
+
+def test_generate_cross_check_failure_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(
+        oracle, "is_member_bruteforce", lambda word, gset: word not in gset
+    )
+    with pytest.raises(InvariantError):
+        hallsets.generate(LEX, BINARY, 4)
+    code, out, err = run_cli(capsys, "enumerate", "--max-len", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@st.composite
+def well_typed_argv(draw):
+    command = draw(st.sampled_from(["factor", "is-member", "conjugate", "trace", "lazard"]))
+    argv = [command, "--alphabet", str(draw(st.integers(-1, 3)))]
+    if command == "lazard":
+        argv += ["--max-len", str(draw(st.integers(-2, 7)))]
+        if draw(st.booleans()):
+            argv.append("--trace")
+        if draw(st.booleans()):
+            argv += ["--kraft", str(draw(st.integers(-3, 8)))]
+    else:
+        # no leading "-", so argparse never reads the word as a flag
+        argv.append(draw(st.text(alphabet="0123456789,x ", max_size=12)))
+        if command != "trace":
+            argv += ["--algorithm", draw(st.sampled_from(["naive", "fast", "melancon"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(well_typed_argv())
+def test_well_typed_argv_never_escapes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)

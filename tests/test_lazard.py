@@ -7,6 +7,8 @@ import pytest
 from nyldon import (
     BINARY,
     TERNARY,
+    Alphabet,
+    BudgetExceededError,
     InvariantError,
     LazardState,
     Word,
@@ -33,16 +35,18 @@ def test_reference_rows_and_chosen_words():
         assert str(st.chosen_word) == chosen
 
 
-def test_chosen_words_are_sorted_members():
-    states = lazard_run(BINARY, 7)
-    chosen = [st.chosen_word for st in states]
-    assert chosen == sorted(chosen)
-    expected = sorted(enumerate_nyldon(BINARY, 7).words())
-    assert chosen == expected
+def test_chosen_words_are_sorted_members(binary10, ternary6):
+    for alphabet, members, lengths in (
+        (BINARY, binary10, range(2, 11)),
+        (TERNARY, ternary6, range(2, 7)),
+    ):
+        for n in lengths:
+            chosen = [st.chosen_word for st in lazard_run(alphabet, n)]
+            assert chosen == sorted(w for w in members.words() if len(w) <= n)
 
 
 def test_report_agrees_with_state_replay():
-    for n in range(2, 10):
+    for n in range(1, 13):
         states = lazard_run(BINARY, n)
         from_states = finishing_step(states)
         streamed = lazard_report(BINARY, n)
@@ -51,6 +55,36 @@ def test_report_agrees_with_state_replay():
         assert from_states.words_after_stop == streamed.words_after_stop
         assert from_states.total_steps == streamed.total_steps
         assert from_states.chosen == streamed.chosen
+
+
+def test_snapshot_length_counts_match_kraft_counts():
+    # kraft_counts follows the removal history by a count recurrence alone,
+    # so it checks every snapshot without sharing code with the driver
+    n = 10
+    for st in lazard_run(BINARY, n):
+        by_length = [0] * (n + 1)
+        for w in st.current:
+            by_length[len(w)] += 1
+        assert by_length[1:] == kraft_counts(st, n)[1:]
+
+
+def test_snapshots_stop_at_the_word_budget():
+    with pytest.raises(BudgetExceededError, match=r"at step \d+"):
+        lazard_run(BINARY, 14)
+    assert lazard_report(BINARY, 14).total_steps == 2538
+
+
+def test_large_alphabets_run_on_letter_tuples():
+    # 257 letters do not fit in bytes; the members up to length 2 are the
+    # letters and the pairs ab with a > b, removed in lex order
+    alphabet = Alphabet(257)
+    report = lazard_report(alphabet, 2)
+    expected = sorted(
+        [Word((a,), alphabet) for a in range(257)]
+        + [Word((a, b), alphabet) for a in range(257) for b in range(a)]
+    )
+    assert list(report.chosen) == expected
+    assert report.total_steps == 257 + 257 * 256 // 2
 
 
 def test_reference_run_summary():

@@ -51,6 +51,16 @@ def test_necklace_count_values():
     assert primitive_necklace_count(3, 4) == 18
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_lengths_below_one_are_rejected(bad):
+    with pytest.raises(ValueError):
+        enumerate_members(BINARY, bad, RLEX)
+    with pytest.raises(ValueError):
+        enumerate_nyldon(BINARY, bad)
+    with pytest.raises(ValueError):
+        primitive_necklace_count(2, bad)
+
+
 def test_factorization_is_unique_and_nondecreasing(binary10_tuples):
     for w in words_up_to(BINARY, 9):
         f = nyldon_factorization_bruteforce(w)

@@ -34,6 +34,10 @@ class BudgetExceededError(NyldonError):
     """An enumeration or scan exceeded its configured budget."""
 
 
+# Words a scan visits, or snapshots hold, before BudgetExceededError by default.
+DEFAULT_WORD_BUDGET = 2_000_000
+
+
 class InvariantError(NyldonError):
     """An internal invariant or a proven bound failed: a bug, or malformed
     state handed in by the caller. Raised explicitly so the check survives

@@ -2,9 +2,11 @@
 
 A set generated under a total order contains the letters, and a longer word
 exactly when it cannot be written as a nondecreasing product of two or more
-smaller members. Generation asks the contraction engine (a word is a member
-iff its factorization under the policy is a single factor) and cross-checks a
-random sample against the definitional oracle.
+smaller members. The Nyldon words and every Nyldon-like set form a right Hall
+set (the paper), so each primitive conjugacy class holds exactly one member
+(Schützenberger) and generation runs one circular contraction per Lyndon
+word. A sample re-derived from the definitional oracle, and verify_hall's
+unique-factorization check, catch an order whose set is not a factorization.
 
 Verdict clauses, evaluated over member pairs f, g whose product fg is also a
 member (all within the truncation bound):
@@ -21,11 +23,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import melancon, oracle
-from .errors import BudgetExceededError, InvariantError, PolicyViolationError
+from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError
+from .errors import InvariantError, PolicyViolationError
 from .order import OrderPolicy, get_policy
-from .words import Alphabet, Word
-
-DEFAULT_WORD_BUDGET = 2_000_000
+from .words import Alphabet, Word, lyndon_words
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,29 @@ class HallVerdict:
         }
 
 
-def _check_budget(alphabet: Alphabet, max_len: int, budget: int | None) -> None:
+def _check_budget(alphabet: Alphabet, max_len: int, budget: int | None) -> int:
     total = sum(alphabet.size**n for n in range(1, max_len + 1))
     if budget is not None and total > budget:
-        raise BudgetExceededError(
-            f"sweep would visit {total} words (budget {budget})"
-        )
+        raise BudgetExceededError(f"sweep would visit {total} words (budget {budget})")
+    return total
+
+
+def _word_at(alphabet: Alphabet, index: int) -> tuple[int, ...]:
+    """The index-th word (from 0) of length >= 1 in shortlex order."""
+    n, size = 1, alphabet.size
+    while index >= size**n:
+        index -= size**n
+        n += 1
+    return tuple(index // size**i % size for i in reversed(range(n)))
+
+
+def _member_pairs(members: frozenset[tuple[int, ...]]):
+    """Every (f, g, fg) with f, g and their product fg all members."""
+    for fg in members:
+        for k in range(1, len(fg)):
+            f, g = fg[:k], fg[k:]
+            if f in members and g in members:
+                yield f, g, fg
 
 
 def generate(
@@ -92,33 +110,31 @@ def generate(
 ) -> oracle.GeneratedSet:
     """Members up to max_len under the policy.
 
-    A word of length >= 2 joins exactly when contraction under the policy
-    yields a single factor; a random sample of the results is re-derived from
-    the definitional rule (no nondecreasing factorization into smaller
-    members) as a cross-check. With validate=True the growth clause f < fg is
-    checked over the whole generated set and a violation raises
-    PolicyViolationError, so orders that do not satisfy it (such as the
-    reversed lexicographic one) need validate=False.
+    Beyond the letters, each member is the circular contraction of one Lyndon
+    word of length 2..max_len (one member per primitive class). `cross_check`
+    words drawn from all words up to max_len, the words the budget counts, are
+    re-derived from the definitional rule; a disagreement (an order whose set
+    is not a factorization) raises InvariantError. With validate=True the
+    growth clause f < fg is checked over the whole generated set and a
+    violation raises PolicyViolationError, so orders that do not satisfy it
+    (such as the reversed lexicographic one) need validate=False.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    _check_budget(alphabet, max_len, budget)
-    members: set[tuple[int, ...]] = {(c,) for c in range(alphabet.size)}
-    for n in range(2, max_len + 1):
-        for tup in itertools.product(range(alphabet.size), repeat=n):
-            if len(melancon.factorize(Word(tup, alphabet), policy)) == 1:
-                members.add(tup)
+    total = _check_budget(alphabet, max_len, budget)
+    reps = (w for w in lyndon_words(alphabet, max_len) if len(w) >= 2)
+    found = (melancon.conjugate(w, policy).letters for w in reps)
+    # Added in shortlex order, as a word-by-word scan adds them, so the set
+    # iterates (and verify_hall lists its counterexamples) in that order.
+    members = {(c,) for c in range(alphabet.size)}
+    members.update(sorted(found, key=lambda t: (len(t), t)))
     gset = oracle.GeneratedSet(alphabet, max_len, policy.id, frozenset(members))
 
     if cross_check:
         rng = random.Random(0x5E7)
-        pool = list(itertools.chain.from_iterable(
-            itertools.product(range(alphabet.size), repeat=n)
-            for n in range(1, max_len + 1)
-        ))
-        for tup in rng.sample(pool, min(cross_check, len(pool))):
-            word = Word(tup, alphabet)
-            if oracle.is_member_bruteforce(word, gset) != (tup in members):
+        for index in rng.sample(range(total), min(cross_check, total)):
+            word = Word(_word_at(alphabet, index), alphabet)
+            if oracle.is_member_bruteforce(word, gset) != (word.letters in members):
                 raise InvariantError(
                     f"contraction disagrees with the definitional rule on {word}"
                 )
@@ -141,18 +157,12 @@ def validate_nyldon_like(
 ) -> NyldonLikeCheck:
     """Check f < fg for every pair of members whose product is a member."""
     policy = policy or get_policy(gset.policy_id)
-    members = gset.member_tuples
-    violations: list[tuple[Word, Word, str]] = []
-    for fg in members:
-        if len(fg) < 2:
-            continue
-        for k in range(1, len(fg)):
-            f, g = fg[:k], fg[k:]
-            if f in members and g in members and policy.compare(f, fg) >= 0:
-                violations.append(
-                    (Word(f, gset.alphabet), Word(g, gset.alphabet), "nyldon_like")
-                )
-    return NyldonLikeCheck(not violations, tuple(violations))
+    violations = tuple(
+        (Word(f, gset.alphabet), Word(g, gset.alphabet), "nyldon_like")
+        for f, g, fg in _member_pairs(gset.member_tuples)
+        if policy.compare(f, fg) >= 0
+    )
+    return NyldonLikeCheck(not violations, violations)
 
 
 def verify_factorization_property(
@@ -192,11 +202,7 @@ def verify_factorization_property(
             return total
 
         # The first factor has no predecessor to compare against.
-        total = 0
-        for t in range(1, n + 1):
-            if letters[:t] in members:
-                total += rest(t, 0)
-        return total
+        return sum(rest(t, 0) for t in range(1, n + 1) if letters[:t] in members)
 
     for n in range(1, test_len + 1):
         for tup in itertools.product(range(gset.alphabet.size), repeat=n):
@@ -213,26 +219,19 @@ def verify_hall(
 ) -> HallVerdict:
     """Evaluate all Hall clauses over member pairs with member product."""
     policy = policy or get_policy(gset.policy_id)
-    members = gset.member_tuples
     counterexamples: list[tuple[Word, Word, str]] = []
     right = left = growth = True
-    for fg in members:
-        if len(fg) < 2:
-            continue
-        for k in range(1, len(fg)):
-            f, g = fg[:k], fg[k:]
-            if f not in members or g not in members:
-                continue
-            wf, wg = Word(f, gset.alphabet), Word(g, gset.alphabet)
-            if policy.compare(fg, g) <= 0:
-                right = False
-                counterexamples.append((wf, wg, "right_hall"))
-            if policy.compare(fg, f) >= 0:
-                left = False
-                counterexamples.append((wf, wg, "left_hall"))
-            if policy.compare(f, fg) >= 0:
-                growth = False
-                counterexamples.append((wf, wg, "nyldon_like"))
+    for f, g, fg in _member_pairs(gset.member_tuples):
+        wf, wg = Word(f, gset.alphabet), Word(g, gset.alphabet)
+        if policy.compare(fg, g) <= 0:
+            right = False
+            counterexamples.append((wf, wg, "right_hall"))
+        if policy.compare(fg, f) >= 0:
+            left = False
+            counterexamples.append((wf, wg, "left_hall"))
+        if policy.compare(f, fg) >= 0:
+            growth = False
+            counterexamples.append((wf, wg, "nyldon_like"))
     factorization = verify_factorization_property(gset, policy, test_len)
     return HallVerdict(
         policy_id=policy.id,

@@ -30,10 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BudgetExceededError, InvariantError
+from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError, InvariantError
 from .words import Alphabet, Word
-
-DEFAULT_WORD_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import BudgetExceededError, InvariantError
+from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError, InvariantError
 from .order import OrderPolicy, get_policy
 from .words import Alphabet, Factorization, Word
-
-DEFAULT_WORD_BUDGET = 2_000_000
 
 
 @lru_cache(maxsize=None)

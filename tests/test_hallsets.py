@@ -6,8 +6,12 @@ from nyldon import (
     BINARY,
     LEX,
     RLEX,
+    TERNARY,
+    InvariantError,
     PolicyViolationError,
     generate,
+    melancon,
+    oracle,
     verify_hall,
 )
 from nyldon.hallsets import validate_nyldon_like, verify_factorization_property
@@ -15,10 +19,38 @@ from nyldon.order import OrderPolicy, register_policy
 from nyldon.words import is_lyndon
 
 
-def test_lex_set_matches_oracle(binary10):
-    gset = generate(LEX, BINARY, 7)
-    expected = {w.letters for w in binary10.words() if len(w) <= 7}
-    assert gset.member_tuples == expected
+def _colex(u, v):
+    """Compare reversed tuples lexicographically."""
+    ru, rv = u[::-1], v[::-1]
+    if ru == rv:
+        return 0
+    return -1 if ru < rv else 1
+
+
+COLEX = OrderPolicy("colex-test", _colex, assume_nyldon_like=False)
+
+
+@pytest.mark.parametrize("policy", [LEX, RLEX, COLEX], ids=lambda p: p.id)
+@pytest.mark.parametrize(
+    "alphabet, top", [(BINARY, 10), (TERNARY, 6)], ids=["binary", "ternary"]
+)
+def test_lex_set_matches_oracle(policy, alphabet, top):
+    # One circular contraction per Lyndon word gives the set the definition
+    # gives, word by word, for every truncation bound.
+    register_policy(policy)
+    for n in range(1, top + 1):
+        gset = generate(policy, alphabet, n, validate=False)
+        expected = oracle.enumerate_members(alphabet, n, policy)
+        assert gset.member_tuples == expected.member_tuples, n
+
+
+def test_wrong_conjugate_is_caught_by_cross_check(monkeypatch):
+    # Returning the Lyndon representative itself puts 01 in the lex set in
+    # place of 10, which the growth clause accepts; re-deriving membership
+    # from the definition must not.
+    monkeypatch.setattr(melancon, "conjugate", lambda word, policy: word)
+    with pytest.raises(InvariantError):
+        generate(LEX, BINARY, 4)
 
 
 def test_lex_verdict():
@@ -71,17 +103,9 @@ def test_factorization_uniqueness_standalone():
 
 
 def test_custom_policy_roundtrip():
-    # colex: compare reversed tuples lexicographically
-    def colex(u, v):
-        ru, rv = u[::-1], v[::-1]
-        if ru == rv:
-            return 0
-        return -1 if ru < rv else 1
-
-    policy = OrderPolicy("colex-test", colex, assume_nyldon_like=False)
-    register_policy(policy)
-    gset = generate(policy, BINARY, 6, validate=False)
-    verdict = verify_hall(gset, policy)
+    register_policy(COLEX)
+    gset = generate(COLEX, BINARY, 6, validate=False)
+    verdict = verify_hall(gset, COLEX)
     assert verdict.is_factorization  # uniqueness holds for any total order
     assert gset.member_tuples >= {(0,), (1,)}
 

@@ -5,14 +5,18 @@ factor and merging the two leftmost factors while the first compares
 lexicographically greater than the second. It needs at most 2|w|-1 substring
 comparisons.
 
-Every comparison goes through `ComparisonEngine`, which compares slices of
-the word's letters (as bytes when the alphabet allows) and touches only the
-first min(|u|, |v|) letters of the two factors.
+The stack holds factor ends only: the incoming factor is always immediately
+left of the stack's top factor, so the top factor starts where the incoming
+one ends. A comparison first tests the two factors' first letters inline;
+only when they tie does it go through `ComparisonEngine`, which compares
+slices of the word's letters (as bytes when the alphabet allows) and touches
+only the first min(|u|, |v|) letters of the two factors. Either way it counts
+as one comparison.
 """
 
 from __future__ import annotations
 
-from .words import Factorization, Word
+from .words import Factorization, Word, _unchecked_word
 
 
 class ComparisonEngine:
@@ -46,30 +50,41 @@ class ComparisonEngine:
 
 def factor_ranges(letters: tuple[int, ...]):
     """(start, end) factor ranges left to right, plus the comparison count."""
-    compare = ComparisonEngine(letters).compare
-    # stack[-1] is the leftmost factor; merging extends the incoming range
-    # over its right neighbours before it is pushed.
-    stack: list[tuple[int, int]] = []
-    comparisons = 0
-    for a1 in range(len(letters) - 1, -1, -1):
+    engine = ComparisonEngine(letters)
+    compare = engine.compare
+    text = engine.letters
+    # ends[-1] is the end of the leftmost factor, whose start is always b1,
+    # the end of the incoming range; merging extends the incoming range over
+    # its right neighbours before its end is pushed.
+    ends: list[int] = []
+    pop, push = ends.pop, ends.append
+    n = len(letters)
+    emptied = 0  # loops that ran out of factors instead of stopping at one
+    for a1 in range(n - 1, -1, -1):
+        first = text[a1]
         b1 = a1 + 1
-        while stack:
-            comparisons += 1
-            a2, b2 = stack[-1]
-            if compare(a1, b1, a2, b2) > 0:
-                stack.pop()
-                b1 = b2
-            else:
+        while ends:
+            other = text[b1]
+            if first < other:
                 break
-        stack.append((a1, b1))
-    stack.reverse()
-    return stack, comparisons
+            if first == other and compare(a1, b1, b1, ends[-1]) <= 0:
+                break
+            b1 = pop()
+        else:
+            emptied += 1
+        push(b1)
+    # One comparison per merge (n - len(ends) of them) and one per loop that
+    # stopped at a factor.
+    comparisons = (n - len(ends)) + (n - emptied)
+    ends.reverse()
+    return list(zip([0] + ends[:-1], ends)), comparisons
 
 
 def factorize_with_stats(word: Word) -> tuple[Factorization, int]:
     ranges, comparisons = factor_ranges(word.letters)
-    factors = tuple(Word(word.letters[a:b], word.alphabet) for a, b in ranges)
-    return Factorization(factors), comparisons
+    letters, alphabet = word.letters, word.alphabet
+    factors = [_unchecked_word(letters[a:b], alphabet) for a, b in ranges]
+    return Factorization(tuple(factors)), comparisons
 
 
 def nyldon_factorize(word: Word) -> Factorization:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError, InvariantError
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _unchecked_word
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
                 f"step {step} of the run truncated at {n}"
             )
         for x in current - words.keys():
-            words[x] = Word(tuple(x), alphabet)
+            words[x] = _unchecked_word(tuple(x), alphabet)
         current_words = frozenset({words[x] for x in current})
         states.append(
             LazardState(alphabet, n, step, tuple(chosen), current_words, words[u])
@@ -190,7 +190,8 @@ def finishing_step(states: list[LazardState]) -> LazardReport:
 def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
     """Run the procedure without keeping states; fast for n up to ~20."""
     encoded, fs, _ = _eliminate(alphabet, n)
-    return _report(alphabet, n, tuple(Word(tuple(b), alphabet) for b in encoded), fs)
+    chosen = [_unchecked_word(tuple(b), alphabet) for b in encoded]
+    return _report(alphabet, n, tuple(chosen), fs)
 
 
 def kraft_counts(state: LazardState, max_len: int) -> list[int]:

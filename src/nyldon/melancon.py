@@ -18,6 +18,17 @@ Two engines implement this:
   O(n log n) policy comparisons and is the default for `conjugate` and
   `factorize`.
 
+Only the leftmost block of a run of equal minimal blocks can contract, so the
+priority-queue engine walks left from a popped block to its run's start. Equal
+blocks pop first in, first out: each heap key carries a ticket that breaks
+ties. Blocks are pushed left to right and a block is pushed again as soon as
+it grows, so the block a pop returns is almost always its run's start and the
+walk is short. The O(n log n) count depends on this, and the tests check it on
+long runs. When equal keys popped in heap order instead, a pop could land
+anywhere in a long run and each walk cost O(n): at n = 2000, 1 0^k, 0^k 1 and
+1^k 0 took 1.1-1.7 M comparisons, against about 52 k with the ticket (random
+words: about 51 k).
+
 Both contract only a minimal block into a strictly greater left neighbour, so
 their end results coincide; tests assert this differentially.
 
@@ -35,14 +46,16 @@ from itertools import count as _fresh
 from .errors import InvariantError, NotPrimitiveError, PolicyViolationError
 from .fastfactor import ComparisonEngine
 from .order import LEX, OrderPolicy
-from .words import Factorization, Word, is_primitive, minimal_period
+from .words import Factorization, Word, _unchecked_word, is_primitive, minimal_period
 
 # Lex compares on bases of at least this many letters go through fastfactor's
-# bounded comparator, which slices only min(|u|, |v|) letters. Shorter bases
-# compare tuple slices through the policy, which spares a bytes encoding per
-# word in scans over thousands of short words. Both sides were measured: bytes
-# at every length slowed set generation over short words, and policy slices at
-# every length slowed contraction of 1 0^k at 10^3 letters.
+# bounded comparator, which slices only min(|u|, |v|) letters; shorter bases
+# compare tuple slices through the policy. Measured on 2 cores with Python
+# 3.11: policy slices at every length made the 18 contractions of 10^3-letter
+# words in the factor-long benchmark take 1.04 s instead of 0.46 s (1 0^k
+# alone 163 ms instead of about 20 ms), because a policy copies a merged
+# block whole on every compare. Below 64 letters the two were within noise
+# (745 conjugates of binary words of at most 12 letters: 100 ms either way).
 _ENGINE_MIN = 64
 
 
@@ -203,14 +216,17 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
     rc = _range_comparator(base, policy)
 
     class _Key:
-        __slots__ = ("s", "l")
+        # t is a ticket: equal keys pop first in, first out (module docstring)
+        __slots__ = ("s", "l", "t")
 
-        def __init__(self, s: int, l: int):
+        def __init__(self, s: int, l: int, t: int):
             self.s = s
             self.l = l
+            self.t = t
 
         def __lt__(self, other: "_Key") -> bool:
-            return rc(self.s, self.l, other.s, other.l) < 0
+            c = rc(self.s, self.l, other.s, other.l)
+            return c < 0 or (c == 0 and self.t < other.t)
 
     nodes = [_Node(i) for i in range(n)]
     for a, b in zip(nodes, nodes[1:]):
@@ -226,14 +242,14 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
     heap: list = []
 
     def push(node: _Node) -> None:
-        heapq.heappush(heap, (_Key(node.start, node.length), next(ticket), node, node.version))
+        heapq.heappush(heap, (_Key(node.start, node.length, next(ticket)), node, node.version))
 
     for node in nodes:
         push(node)
 
     def pop_valid() -> _Node:
         while True:
-            _, _, node, version = heapq.heappop(heap)
+            _, node, version = heapq.heappop(heap)
             if node.alive and node.version == version:
                 return node
 
@@ -255,6 +271,9 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
         left.length += node.length
         left.version += 1
         push(left)
+
+    def block_word(node: _Node) -> Word:
+        return _unchecked_word(base[node.start : node.start + node.length], alphabet)
 
     def walk_to_run_start(node: _Node) -> _Node:
         """Leftmost block of the equal-value run containing `node`."""
@@ -279,7 +298,7 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
                 push(node)
             contract(cur.prev, cur)
         last = pop_valid()
-        return Word(base[last.start : last.start + last.length], alphabet), None
+        return block_word(last), None
 
     factors: list[Word] = []
     while count > 0:
@@ -287,7 +306,7 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
         if node is head:
             unlink(node)
             head = node.next
-            factors.append(Word(base[node.start : node.start + node.length], alphabet))
+            factors.append(block_word(node))
             continue
         cur = walk_to_run_start(node)
         if cur is not node:
@@ -296,7 +315,7 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
             # cur is the head and shares the minimal value: emit it.
             unlink(cur)
             head = cur.next
-            factors.append(Word(base[cur.start : cur.start + cur.length], alphabet))
+            factors.append(block_word(cur))
             continue
         contract(cur.prev, cur)
     return None, Factorization(tuple(factors), f"{policy.id}:nondecreasing")

@@ -124,6 +124,19 @@ class Word:
         return other.letters[len(other.letters) - n:] == self.letters
 
 
+_set_letters = Word.__dict__["letters"].__set__
+_set_alphabet = Word.__dict__["alphabet"].__set__
+
+
+def _unchecked_word(letters: tuple[int, ...], alphabet: Alphabet) -> Word:
+    """A Word without `__post_init__`'s checks, for a nonempty letter tuple
+    already known to lie in the alphabet (a slice of a checked Word, say)."""
+    w = object.__new__(Word)
+    _set_letters(w, letters)
+    _set_alphabet(w, alphabet)
+    return w
+
+
 def lex_compare(u: Word, v: Word) -> int:
     """Three-way lexicographic comparison: -1, 0 or 1."""
     u._check_same_alphabet(v)

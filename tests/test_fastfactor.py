@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from nyldon import (
     nyldon_factorize,
     words_up_to,
 )
-from nyldon.fastfactor import ComparisonEngine
+from nyldon.fastfactor import ComparisonEngine, factor_ranges
 
 letters_st = st.lists(st.integers(0, 1), min_size=1, max_size=60).map(tuple)
 
@@ -74,6 +75,51 @@ def test_comparator_matches_tuple_order(letters, rng):
         b2 = rng.randint(a2, n)
         u, v = t[a1:b1], t[a2:b2]
         assert engine.compare(a1, b1, a2, b2) == (u > v) - (u < v)
+
+
+def _slice_stack_ranges(t):
+    """factor_ranges' result, from the stack loop on plain tuple slices."""
+    stack = []
+    comparisons = 0
+    for a in range(len(t) - 1, -1, -1):
+        b = a + 1
+        while stack:
+            comparisons += 1
+            c, d = stack[-1]
+            if t[a:b] <= t[c:d]:
+                break
+            stack.pop()
+            b = d
+        stack.append((a, b))
+    return stack[::-1], comparisons
+
+
+ternary_st = st.lists(st.integers(0, 2), min_size=1, max_size=80)
+# letters above 255 keep the comparator on tuples; the few repeated letters
+# make first-letter ties common there too
+wide_tie_st = st.lists(
+    st.one_of(st.sampled_from((0, 256, 299)), st.integers(0, 299)), max_size=80
+).map(lambda t: [299] + t)
+
+
+@settings(max_examples=200)
+@given(st.one_of(binary_st, ternary_st, wide_tie_st))
+def test_factor_ranges_match_slice_stack(letters):
+    t = tuple(letters)
+    assert factor_ranges(t) == _slice_stack_ranges(t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 64])
+def test_factor_ranges_match_slice_stack_on_prefix_families(k):
+    for t in (
+        (1, 0) * k,
+        (1,) + (0,) * k + (1,) + (0,) * (k + 1),
+        (0,) * k + (1,),
+        (1, 0, 0) * k + (1, 0) * k,
+        (299, 256) * k,
+        (299,) + (256,) * k + (299,) + (256,) * (k + 1),
+    ):
+        assert factor_ranges(t) == _slice_stack_ranges(t), t
 
 
 def test_families_agree_with_contraction():

@@ -1,5 +1,7 @@
 """Contraction algorithm: conjugates, factorization variant, traces, policies."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from nyldon import (
     nyldon_factorize,
     words_up_to,
 )
+from nyldon.order import CountingPolicy
 from nyldon.words import is_lyndon, is_primitive
 
 primitive_st = (
@@ -72,6 +75,27 @@ def test_imprimitive_rejected():
 def test_factorize_agrees_with_stack():
     for w in words_up_to(BINARY, 11):
         assert factorize(w).factors == nyldon_factorize(w).factors
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        (1,) + (0,) * 1999,
+        (0,) * 1999 + (1,),
+        (1,) * 1999 + (0,),
+    ],
+    ids=["1 0^k", "0^k 1", "1^k 0"],
+)
+def test_long_runs_of_equal_blocks_stay_n_log_n(letters):
+    # Equal blocks must pop first in, first out; popped in heap order, each
+    # pop walked a whole run of equal blocks (over 10^6 comparisons here).
+    w = Word(letters, BINARY)
+    n = len(w)
+    bound = 3 * n * math.ceil(math.log2(n))
+    for run in (conjugate, factorize):
+        policy = CountingPolicy(LEX)
+        run(w, policy)
+        assert policy.calls <= bound, (run.__name__, policy.calls)
 
 
 def test_growth_check_passes_under_lex():

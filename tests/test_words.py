@@ -18,6 +18,7 @@ from nyldon import (
     words_up_to,
 )
 from nyldon.words import (
+    _unchecked_word,
     duval_lyndon_factorization,
     lex_compare,
     minimal_period,
@@ -47,6 +48,15 @@ def test_word_validation():
         Word.parse("")
     with pytest.raises(ValueError):
         Alphabet(1)
+
+
+@given(letters_st)
+def test_unchecked_word_is_an_ordinary_word(t):
+    w = _unchecked_word(t, BINARY)
+    assert w == Word(t, BINARY) and hash(w) == hash(Word(t, BINARY))
+    assert str(w) == "".join(map(str, t)) and not w < Word(t, BINARY)
+    with pytest.raises(AttributeError):
+        w.letters = (0,)
 
 
 def test_concat_power_slice_rotate():

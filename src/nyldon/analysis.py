@@ -181,14 +181,20 @@ class PowerProfile:
         }
 
 
-def power_profile(w: Word, k: int) -> PowerProfile:
+def power_profile(w: Word, k: int, n: Word | None = None) -> PowerProfile:
     """Factorize w^k and locate the maximal run of factors equal to w's
-    distinguished conjugate."""
+    distinguished conjugate n.
+
+    n defaults to `melancon.conjugate(w)`. A caller that profiles one word at
+    several exponents computes it once and passes it in; it must be that
+    conjugate, and it is not checked.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not is_primitive(w):
         raise NotPrimitiveError(w, minimal_period(w))
-    n = melancon.conjugate(w)
+    if n is None:
+        n = melancon.conjugate(w)
     factors = fastfactor.nyldon_factorize(w * k).factors
 
     target = n.letters
@@ -242,7 +248,8 @@ class KBoundReport:
 
 
 def _profile_rep(args: tuple[int, tuple[int, ...], int]) -> tuple[tuple[int, ...], int | None, bool]:
-    """Worker: profile one conjugacy-class representative at k, k+1, k+2.
+    """Worker: profile one conjugacy-class representative at k, k+1, k+2,
+    computing its conjugate once.
 
     Returns (letters, K, ok): ok is false when the deficit exceeds its bound
     or when the prefix and suffix factor lists and the deficit differ across
@@ -251,8 +258,9 @@ def _profile_rep(args: tuple[int, tuple[int, ...], int]) -> tuple[tuple[int, ...
     """
     size, letters, k = args
     w = Word(letters, Alphabet(size))
+    n = melancon.conjugate(w)
     try:
-        profiles = [power_profile(w, kk) for kk in (k, k + 1, k + 2)]
+        profiles = [power_profile(w, kk, n) for kk in (k, k + 1, k + 2)]
     except InvariantError:  # the deficit bound failed
         return letters, None, False
     base = profiles[0]

@@ -108,7 +108,7 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
     alphabet = _alphabet(args)
     word = _word(args.word, alphabet)
     policy = _policy(args)
-    variant = "phases" if args.algorithm == "naive" else "pq"
+    variant = "phases" if args.algorithm == "naive" else None
     if args.trace:
         trace = melancon.contraction_trace(word, policy, mode="circular")
         conj = trace.conjugate

@@ -125,7 +125,8 @@ def generate(
     reps = (w for w in lyndon_words(alphabet, max_len) if len(w) >= 2)
     found = (melancon.conjugate(w, policy).letters for w in reps)
     # Added in shortlex order, as a word-by-word scan adds them, so the set
-    # iterates (and verify_hall lists its counterexamples) in that order.
+    # iterates (and validate_nyldon_like lists its counterexamples) in that
+    # order.
     members = {(c,) for c in range(alphabet.size)}
     members.update(sorted(found, key=lambda t: (len(t), t)))
     gset = oracle.GeneratedSet(alphabet, max_len, policy.id, frozenset(members))
@@ -217,7 +218,8 @@ def verify_hall(
     policy: OrderPolicy | None = None,
     test_len: int | None = None,
 ) -> HallVerdict:
-    """Evaluate all Hall clauses over member pairs with member product."""
+    """Evaluate all Hall clauses over member pairs with member product;
+    counterexamples are sorted by (clause, f, g)."""
     policy = policy or get_policy(gset.policy_id)
     counterexamples: list[tuple[Word, Word, str]] = []
     right = left = growth = True
@@ -232,6 +234,8 @@ def verify_hall(
         if policy.compare(f, fg) >= 0:
             growth = False
             counterexamples.append((wf, wg, "nyldon_like"))
+    # sorted, so the list does not follow the member set's hash layout
+    counterexamples.sort(key=lambda c: (c[2], c[0].letters, c[1].letters))
     factorization = verify_factorization_property(gset, policy, test_len)
     return HallVerdict(
         policy_id=policy.id,

@@ -15,8 +15,15 @@ Two engines implement this:
   copy of it remains, and snapshots the chain after every phase (these
   snapshots are what `contraction_trace` and the CLI `trace` command show);
 * a priority-queue engine (stale entries skipped by version) that runs in
-  O(n log n) policy comparisons and is the default for `conjugate` and
-  `factorize`.
+  O(n log n) policy comparisons.
+
+`conjugate` and `factorize` pick the engine by length: the phase engine below
+`_PHASE_MAX` letters, the priority queue from there. The phase engine has
+little per-call overhead, but every phase scans the whole chain, and a word
+with many distinct letters needs a phase per letter, so its cost grows as the
+number of phases times the chain length. The heap engine costs a heap push,
+pop and key per block, but stays O(n log n). The measurements behind the
+cutoff are next to `_PHASE_MAX`. A `variant` of "pq" or "phases" forces one.
 
 Only the leftmost block of a run of equal minimal blocks can contract, so the
 priority-queue engine walks left from a popped block to its run's start. Equal
@@ -30,7 +37,8 @@ anywhere in a long run and each walk cost O(n): at n = 2000, 1 0^k, 0^k 1 and
 words: about 51 k).
 
 Both contract only a minimal block into a strictly greater left neighbour, so
-their end results coincide; tests assert this differentially.
+their end results coincide; tests assert this differentially, on both sides
+of the cutoff.
 
 For policies expected to generate sets with the growth property (f < fg, as
 lex does), every contraction optionally checks fg > f > g live and raises
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import count as _fresh
 
 from .errors import InvariantError, NotPrimitiveError, PolicyViolationError
@@ -57,6 +66,33 @@ from .words import Factorization, Word, _unchecked_word, is_primitive, minimal_p
 # block whole on every compare. Below 64 letters the two were within noise
 # (745 conjugates of binary words of at most 12 letters: 100 ms either way).
 _ENGINE_MIN = 64
+
+# `conjugate` and `factorize` run the phase engine on words shorter than this,
+# the priority queue on longer ones. Measured on 2 cores with Python 3.11,
+# conjugate + factorize in ms, heap / phase (best of 3 to 7):
+#
+#   binary, the benchmark's nine families   random        the other eight
+#     n = 100                                 3.7 / 1.7     2.6-3.7 / 0.7-1.6
+#     n = 1000                                 32 / 38       30-51 / 6-17
+#     n = 2000                                127 / 128      93-137 / 13-40
+#     n = 4000                                288 / 441     230-334 / 41-137
+#     n = 10^4                                783 / 2307    657-967 / 116-692
+#
+#   random words over k letters   n = 16       n = 32       n = 64       n = 256
+#     k = 2                       0.42 / 0.19  0.59 / 0.26  1.44 / 0.57  10.9 / 5.6
+#     k = 16                      0.26 / 0.23  0.61 / 0.65  1.32 / 2.92   9.4 / 20.7
+#     k = 256                     0.44 / 0.53  0.62 / 1.03  1.42 / 3.50   6.4 / 56.2
+#     k = 65536                   0.46 / 0.55  1.09 / 1.43  1.49 / 6.97  12.0 / 89.4
+#
+# Binary words alone would put the cutoff between 1000 and 2000 letters
+# (random words; the other families favour the phase engine even at 10^4).
+# Each distinct letter costs the phase engine a phase over the whole chain,
+# so on alphabets of 16 letters or more it falls behind from 12 to 24
+# letters and is 2-9 times slower at 256. Below 32 letters it is about twice
+# as fast on binary words and at most 1.7 times slower (under half a
+# millisecond) on every alphabet measured; the sweep's words (at most 12
+# letters) and the CLI's short words fall below it.
+_PHASE_MAX = 32
 
 
 def _range_comparator(base: tuple[int, ...], policy: OrderPolicy):
@@ -126,13 +162,16 @@ def _phase_run(
         s, l = block
         return base[s : s + l]
 
+    def block_word(block: tuple[int, int]) -> Word:
+        return _unchecked_word(word_of(block), alphabet)
+
     blocks: list[tuple[int, int]] = [(i, 1) for i in range(n)]
     snapshots: list[list[Word]] = []
     factors: list[Word] = []
 
     def snap() -> None:
         if want_snapshots and blocks:
-            snapshots.append([Word(word_of(b), alphabet) for b in blocks])
+            snapshots.append([block_word(b) for b in blocks])
 
     def contract(left_idx: int, idx: int) -> None:
         ls, ll = blocks[left_idx]
@@ -170,13 +209,13 @@ def _phase_run(
                     # Every block equals the minimum: the word is a proper power.
                     raise NotPrimitiveError(word, minimal_period(word))
             snap()
-        return snapshots, Word(word_of(blocks[0]), alphabet), None
+        return snapshots, block_word(blocks[0]), None
 
     while blocks:
         min_word = chain_min()
         if word_of(blocks[0]) == min_word:
             while blocks and word_of(blocks[0]) == min_word:
-                factors.append(Word(word_of(blocks.pop(0)), alphabet))
+                factors.append(block_word(blocks.pop(0)))
             snap()
         else:
             p = 1
@@ -215,19 +254,6 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
     base = letters + letters if circular else letters
     rc = _range_comparator(base, policy)
 
-    class _Key:
-        # t is a ticket: equal keys pop first in, first out (module docstring)
-        __slots__ = ("s", "l", "t")
-
-        def __init__(self, s: int, l: int, t: int):
-            self.s = s
-            self.l = l
-            self.t = t
-
-        def __lt__(self, other: "_Key") -> bool:
-            c = rc(self.s, self.l, other.s, other.l)
-            return c < 0 or (c == 0 and self.t < other.t)
-
     nodes = [_Node(i) for i in range(n)]
     for a, b in zip(nodes, nodes[1:]):
         a.next = b
@@ -238,18 +264,27 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
     head = nodes[0]
     count = n
 
+    # Heap entries are (start, length, ticket, node, version) tuples under
+    # `order`, wrapped by functools' C key type, so a run builds no key class
+    # and a push runs no Python __init__. The ticket makes equal blocks pop
+    # first in, first out (module docstring).
+    def order(a, b) -> int:
+        return rc(a[0], a[1], b[0], b[1]) or a[2] - b[2]
+
+    key = cmp_to_key(order)
     ticket = _fresh()
     heap: list = []
 
     def push(node: _Node) -> None:
-        heapq.heappush(heap, (_Key(node.start, node.length, next(ticket)), node, node.version))
+        entry = (node.start, node.length, next(ticket), node, node.version)
+        heapq.heappush(heap, key(entry))
 
     for node in nodes:
         push(node)
 
     def pop_valid() -> _Node:
         while True:
-            _, node, version = heapq.heappop(heap)
+            _, _, _, node, version = heapq.heappop(heap).obj
             if node.alive and node.version == version:
                 return node
 
@@ -325,16 +360,28 @@ def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool)
 # Public API
 
 
+def _engine(word: Word, variant: str | None) -> str:
+    if variant is None:
+        return "phases" if len(word) < _PHASE_MAX else "pq"
+    return variant
+
+
 def conjugate(
     word: Word,
     policy: OrderPolicy = LEX,
-    variant: str = "pq",
+    variant: str | None = None,
     check_growth: bool | None = None,
 ) -> Word:
-    """The unique conjugate of a primitive word that lies in the policy's set."""
+    """The unique conjugate of a primitive word that lies in the policy's set.
+
+    `variant` None picks the engine by length (the phase engine below
+    `_PHASE_MAX` letters, the priority queue from there); "pq" or "phases"
+    forces one.
+    """
     if not is_primitive(word):
         raise NotPrimitiveError(word, minimal_period(word))
     growth = policy.assume_nyldon_like if check_growth is None else check_growth
+    variant = _engine(word, variant)
     if variant == "pq":
         result, _ = _pq_run(word, policy, circular=True, check_growth=growth)
         return result
@@ -347,11 +394,13 @@ def conjugate(
 def factorize(
     word: Word,
     policy: OrderPolicy = LEX,
-    variant: str = "pq",
+    variant: str | None = None,
     check_growth: bool | None = None,
 ) -> Factorization:
-    """Factorization into nondecreasing members of the policy's generated set."""
+    """Factorization into nondecreasing members of the policy's generated set;
+    `variant` as for `conjugate`."""
     growth = policy.assume_nyldon_like if check_growth is None else check_growth
+    variant = _engine(word, variant)
     if variant == "pq":
         _, result = _pq_run(word, policy, circular=False, check_growth=growth)
         return result

@@ -14,11 +14,13 @@ from nyldon import (
     NotPrimitiveError,
     Word,
     circular_code_check,
+    conjugate,
     enumerate_nyldon,
     is_nyldon,
     k_bound_scan,
     lyndon_suffix_check,
     lyndon_words,
+    melancon,
     nyldon_factorization_bruteforce,
     power_profile,
     rotation_parse,
@@ -115,6 +117,26 @@ def test_power_profile_worked_example():
     d = profile.to_dict()
     assert d["K"] == 4
     assert d["central_copies"] == 1
+
+
+def test_power_profile_takes_a_precomputed_conjugate():
+    w = Word.parse("01111011011111011110111")
+    for k in (1, 5, 7):
+        assert power_profile(w, k, conjugate(w)) == power_profile(w, k)
+
+
+def test_k_bound_scan_computes_one_conjugate_per_class(monkeypatch):
+    calls = []
+    real = melancon.conjugate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(melancon, "conjugate", counted)
+    report = k_bound_scan(BINARY, 12, jobs=1)
+    assert report.word_count == 747
+    assert len(calls) == 747  # not one per exponent k, k + 1, k + 2
 
 
 def test_power_profile_member_word():

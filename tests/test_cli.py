@@ -289,10 +289,10 @@ def test_power_scan_reports_a_deficit_bound_failure(capsys, monkeypatch):
     # the word as a violation and finish rather than abort
     real = analysis.power_profile
 
-    def fails_on_011(w, k):
+    def fails_on_011(w, k, n=None):
         if str(w) == "011":
             raise InvariantError("power deficit exceeds bound")
-        return real(w, k)
+        return real(w, k, n)
 
     monkeypatch.setattr(analysis, "power_profile", fails_on_011)
     report = analysis.k_bound_scan(BINARY, 5, jobs=1)

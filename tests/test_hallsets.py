@@ -1,5 +1,7 @@
 """Policy-generated sets and their Hall/Viennot verdicts."""
 
+import dataclasses
+
 import pytest
 
 from nyldon import (
@@ -66,6 +68,21 @@ def test_lex_verdict():
     d = verdict.to_dict()
     assert d["policy_id"] == "lex"
     assert d["is_right_hall"] is True
+
+
+@pytest.mark.parametrize("policy", [LEX, RLEX], ids=["lex", "rlex"])
+def test_verdict_does_not_depend_on_insertion_order(policy):
+    # Counterexamples are listed in (clause, f, g) order, not in the order
+    # the member set happens to iterate.
+    gset = generate(policy, BINARY, 8, validate=False)
+    shortlex = sorted(gset.member_tuples, key=lambda t: (len(t), t))
+    forward = dataclasses.replace(gset, member_tuples=frozenset(shortlex))
+    backward = dataclasses.replace(gset, member_tuples=frozenset(shortlex[::-1]))
+    assert list(forward.member_tuples) != list(backward.member_tuples)
+    verdict = verify_hall(forward, policy)
+    assert verify_hall(backward, policy) == verdict
+    keys = [(c, f.letters, g.letters) for f, g, c in verdict.counterexamples]
+    assert keys == sorted(keys)
 
 
 def test_rlex_set_is_lyndon_and_viennot():

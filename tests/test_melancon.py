@@ -1,13 +1,15 @@
 """Contraction algorithm: conjugates, factorization variant, traces, policies."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nyldon import (
     BINARY,
+    Alphabet,
     LEX,
     RLEX,
     NotPrimitiveError,
@@ -21,6 +23,7 @@ from nyldon import (
     nyldon_factorize,
     words_up_to,
 )
+from nyldon.melancon import _PHASE_MAX
 from nyldon.order import CountingPolicy
 from nyldon.words import is_lyndon, is_primitive
 
@@ -40,16 +43,6 @@ def test_worked_example_conjugate():
 def test_worked_example_factorization():
     f = factorize(Word.parse("10001011010101"))
     assert tuple(str(x) for x in f.factors) == ("1000", "1011010101")
-
-
-def test_conjugate_variants_agree():
-    for rep in lyndon_words(BINARY, 9):
-        if len(rep) < 2:
-            continue
-        pq = conjugate(rep, LEX, variant="pq")
-        ph = conjugate(rep, LEX, variant="phases")
-        assert pq == ph
-        assert is_nyldon(pq)
 
 
 @given(primitive_st)
@@ -94,8 +87,66 @@ def test_long_runs_of_equal_blocks_stay_n_log_n(letters):
     bound = 3 * n * math.ceil(math.log2(n))
     for run in (conjugate, factorize):
         policy = CountingPolicy(LEX)
-        run(w, policy)
+        run(w, policy, variant="pq")
         assert policy.calls <= bound, (run.__name__, policy.calls)
+
+
+def _families(n):
+    """The benchmark's nine binary families at n letters (random is seeded)."""
+    rng = random.Random(n)
+    prev, fib = [1], [1, 0]
+    while len(fib) < n:
+        prev, fib = fib, fib + prev
+    growing, k = [], 1
+    while len(growing) < n:
+        growing += [1] + [0] * k
+        k += 1
+    return {
+        "random": [rng.randrange(2) for _ in range(n)],
+        "1 0^k": [1] + [0] * (n - 1),
+        "0^k 1": [0] * (n - 1) + [1],
+        "(10)^k": ([1, 0] * n)[:n],
+        "fibonacci": fib[:n],
+        "thue-morse": [bin(i).count("1") & 1 for i in range(n)],
+        "sparse": (([1] + [0] * 99) * (n // 100 + 1))[:n],
+        "1^k 0": [1] * (n - 1) + [0],
+        "growing blocks": growing[:n],
+    }
+
+
+def _engines_agree(w, policy):
+    """The default engine, "pq" and "phases" give equal results on w."""
+    facts = {factorize(w, policy, variant=v).factors for v in (None, "pq", "phases")}
+    assert len(facts) == 1, (w, policy)
+    if is_primitive(w):
+        conjs = {conjugate(w, policy, variant=v) for v in (None, "pq", "phases")}
+        assert len(conjs) == 1, (w, policy)
+
+
+def test_conjugate_variants_agree():
+    # Short words run on the phase engine by default and long ones on the
+    # priority queue; all three choices must give equal results.
+    for policy in (LEX, RLEX):
+        for rep in lyndon_words(BINARY, 12):
+            _engines_agree(rep, policy)
+            _engines_agree(rep.rotate(len(rep) // 2), policy)
+            if policy is LEX:
+                assert is_nyldon(conjugate(rep))
+    for n in (_PHASE_MAX - 1, _PHASE_MAX):
+        for name, letters in _families(n).items():
+            assert len(letters) == n, name
+            w = Word(tuple(letters), BINARY)
+            if not is_primitive(w):
+                w = Word(tuple(letters[:-1]) + (1 - letters[-1],), BINARY)
+            for policy in (LEX, RLEX):
+                _engines_agree(w, policy)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 299), min_size=1, max_size=2 * _PHASE_MAX).map(tuple))
+def test_engines_agree_on_large_alphabets(letters):
+    # Many distinct letters mean many phases: the reason for the cutoff.
+    _engines_agree(Word(letters, Alphabet(300)), LEX)
 
 
 def test_growth_check_passes_under_lex():

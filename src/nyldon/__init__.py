@@ -18,129 +18,96 @@ factors that way uniquely. The package provides:
 - circular-code verification, power-factorization deficit profiling, and
   the Lyndon suffix criterion (`analysis`),
 - a CLI (`nyldon ...`) and the acceptance checks behind `nyldon selftest`.
+
+Every name in `__all__` is importable from the package, but `import nyldon`
+loads no submodule: each name loads its defining module on first use, so a
+CLI process pays only for the modules its subcommand runs.
 """
 
-from .analysis import (
-    CircularCodeVerdict,
-    KBoundReport,
-    PowerProfile,
-    circular_code_check,
-    k_bound_scan,
-    lyndon_suffix_check,
-    power_profile,
-    rotation_parse,
-    sn_ka_check,
-)
-from .errors import (
-    AlphabetMismatchError,
-    BudgetExceededError,
-    InvariantError,
-    NotPrimitiveError,
-    NyldonError,
-    PolicyViolationError,
-)
-from .fastfactor import factorize_with_stats, is_nyldon, nyldon_factorize
-from .hallsets import HallVerdict, generate, verify_hall
-from .lazard import (
-    CodeCheck,
-    LazardReport,
-    LazardState,
-    code_check,
-    count_words_after_stop,
-    finishing_step,
-    kraft_sum,
-    lazard_code_check,
-    lazard_report,
-    lazard_run,
-    materialize_y,
-    predicted_stop_word,
-)
-from .melancon import ContractionTrace, conjugate, contraction_trace, factorize
-from .oracle import (
-    GeneratedSet,
-    enumerate_members,
-    enumerate_nyldon,
-    is_member_bruteforce,
-    is_nyldon_bruteforce,
-    longest_nyldon_suffix,
-    nyldon_factorization_bruteforce,
-    primitive_necklace_count,
-)
-from .order import LEX, RLEX, OrderPolicy, get_policy, register_policy
-from .words import (
-    BINARY,
-    TERNARY,
-    Alphabet,
-    Factorization,
-    Word,
-    conjugates,
-    is_lyndon,
-    is_primitive,
-    lyndon_words,
-    words_up_to,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Alphabet",
-    "AlphabetMismatchError",
-    "BINARY",
-    "BudgetExceededError",
-    "CircularCodeVerdict",
-    "CodeCheck",
-    "ContractionTrace",
-    "Factorization",
-    "GeneratedSet",
-    "HallVerdict",
-    "InvariantError",
-    "KBoundReport",
-    "LEX",
-    "LazardReport",
-    "LazardState",
-    "NotPrimitiveError",
-    "NyldonError",
-    "OrderPolicy",
-    "PolicyViolationError",
-    "PowerProfile",
-    "RLEX",
-    "TERNARY",
-    "Word",
-    "circular_code_check",
-    "code_check",
-    "conjugate",
-    "conjugates",
-    "contraction_trace",
-    "count_words_after_stop",
-    "enumerate_members",
-    "enumerate_nyldon",
-    "factorize",
-    "factorize_with_stats",
-    "finishing_step",
-    "generate",
-    "get_policy",
-    "is_lyndon",
-    "is_member_bruteforce",
-    "is_nyldon",
-    "is_nyldon_bruteforce",
-    "is_primitive",
-    "k_bound_scan",
-    "kraft_sum",
-    "lazard_code_check",
-    "lazard_report",
-    "lazard_run",
-    "longest_nyldon_suffix",
-    "lyndon_suffix_check",
-    "lyndon_words",
-    "materialize_y",
-    "nyldon_factorization_bruteforce",
-    "nyldon_factorize",
-    "power_profile",
-    "predicted_stop_word",
-    "primitive_necklace_count",
-    "register_policy",
-    "rotation_parse",
-    "sn_ka_check",
-    "verify_hall",
-    "words_up_to",
-]
+# The public names, by defining module.
+_EXPORTS = {
+    "analysis": (
+        "CircularCodeVerdict",
+        "KBoundReport",
+        "PowerProfile",
+        "circular_code_check",
+        "k_bound_scan",
+        "lyndon_suffix_check",
+        "power_profile",
+        "rotation_parse",
+        "sn_ka_check",
+    ),
+    "errors": (
+        "AlphabetMismatchError",
+        "BudgetExceededError",
+        "InvariantError",
+        "NotPrimitiveError",
+        "NyldonError",
+        "PolicyViolationError",
+    ),
+    "fastfactor": ("factorize_with_stats", "is_nyldon", "nyldon_factorize"),
+    "hallsets": ("HallVerdict", "generate", "verify_hall"),
+    "lazard": (
+        "CodeCheck",
+        "LazardReport",
+        "LazardState",
+        "code_check",
+        "count_words_after_stop",
+        "finishing_step",
+        "kraft_sum",
+        "lazard_code_check",
+        "lazard_report",
+        "lazard_run",
+        "materialize_y",
+        "predicted_stop_word",
+    ),
+    "melancon": ("ContractionTrace", "conjugate", "contraction_trace", "factorize"),
+    "oracle": (
+        "GeneratedSet",
+        "enumerate_members",
+        "enumerate_nyldon",
+        "is_member_bruteforce",
+        "is_nyldon_bruteforce",
+        "longest_nyldon_suffix",
+        "nyldon_factorization_bruteforce",
+        "primitive_necklace_count",
+    ),
+    "order": ("LEX", "RLEX", "OrderPolicy", "get_policy", "register_policy"),
+    "words": (
+        "BINARY",
+        "TERNARY",
+        "Alphabet",
+        "Factorization",
+        "Word",
+        "conjugates",
+        "is_lyndon",
+        "is_primitive",
+        "lyndon_words",
+        "words_up_to",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Load a public name's module on first use (PEP 562) and bind the name,
+    so later lookups skip this hook. Each defining submodule is an attribute
+    too: `nyldon.melancon` needs no `import nyldon.melancon` first."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

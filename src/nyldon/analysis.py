@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
@@ -300,6 +299,8 @@ def k_bound_scan(
 
     results: list[tuple[tuple[int, ...], int | None, bool]] = []
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for res in pool.map(_profile_rep, tasks, chunksize=32):
                 deadline.check("k_bound_scan")
@@ -388,6 +389,8 @@ def lyndon_suffix_check(
     tasks = [(alphabet.size, length, lyndon_set) for length in range(1, max_len + 1)]
     deadline = Deadline()
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for counterexample in pool.map(_lyndon_suffix_range, tasks):
                 deadline.check("lyndon_suffix_check")

@@ -12,15 +12,14 @@ values).
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 import time
 
-from . import analysis, fastfactor, hallsets, lazard, melancon, oracle
+# Only what every subcommand needs is imported here. Each handler imports the
+# modules it runs, so a process pays for no other module's import.
 from .errors import NyldonError
-from .order import LEX, CountingPolicy, OrderPolicy, get_policy
-from .words import Alphabet, Word
+from .order import OrderPolicy, get_policy
+from .words import Alphabet, Factorization, Word
 
 
 def _alphabet(args: argparse.Namespace) -> Alphabet:
@@ -40,21 +39,41 @@ def _policy(args: argparse.Namespace) -> OrderPolicy:
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print(text)
 
 
-def _factor_with(word: Word, policy: OrderPolicy, algorithm: str):
-    if algorithm == "fast":
-        if policy.id != "lex":
-            raise NyldonError("algorithm 'fast' supports only the lex policy")
-        return fastfactor.nyldon_factorize(word)
+def _run_engine(
+    word: Word, policy: OrderPolicy, algorithm: str, member: bool
+) -> Factorization | bool:
+    """The factorization of `word` (member=False) or whether it is a member
+    (member=True), by the --algorithm engine. fast and naive know only lex,
+    except that naive tests membership under any policy against the
+    enumerated set."""
+    if algorithm == "melancon":
+        from .melancon import factorize
+
+        fact = factorize(word, policy)
+        return len(fact.factors) == 1 if member else fact
+    if algorithm == "naive" and member and policy.id != "lex":
+        from .oracle import enumerate_members, is_member_bruteforce
+
+        gset = enumerate_members(word.alphabet, len(word), policy)
+        return is_member_bruteforce(word, gset)
+    if policy.id != "lex":
+        raise NyldonError(f"algorithm '{algorithm}' supports only the lex policy")
     if algorithm == "naive":
-        if policy.id != "lex":
-            raise NyldonError("algorithm 'naive' supports only the lex policy")
-        return oracle.nyldon_factorization_bruteforce(word)
-    return melancon.factorize(word, policy)
+        from .oracle import is_nyldon_bruteforce, nyldon_factorization_bruteforce
+
+        if member:
+            return is_nyldon_bruteforce(word)
+        return nyldon_factorization_bruteforce(word)
+    from .fastfactor import is_nyldon, nyldon_factorize
+
+    return is_nyldon(word) if member else nyldon_factorize(word)
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
@@ -64,13 +83,16 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     lines: list[str] = []
     payload: dict = {"word": str(word)}
     if args.trace:
+        from . import melancon
+
         trace = melancon.contraction_trace(word, policy, mode="linear")
         snapshots = [[str(b) for b in snap] for snap in trace]
         payload["snapshots"] = snapshots
         lines.extend(", ".join(snap) for snap in snapshots)
         factors = [str(f) for f in trace.factorization.factors]
     else:
-        factors = [str(f) for f in _factor_with(word, policy, args.algorithm).factors]
+        fact = _run_engine(word, policy, args.algorithm, member=False)
+        factors = [str(f) for f in fact.factors]
     payload["factors"] = factors
     if args.trace:
         lines.append("factors: " + " ".join(factors))
@@ -84,18 +106,7 @@ def _cmd_is_member(args: argparse.Namespace) -> int:
     alphabet = _alphabet(args)
     word = _word(args.word, alphabet)
     policy = _policy(args)
-    if args.algorithm == "fast":
-        if policy.id != "lex":
-            raise NyldonError("algorithm 'fast' supports only the lex policy")
-        member = fastfactor.is_nyldon(word)
-    elif args.algorithm == "naive":
-        if policy.id == "lex":
-            member = oracle.is_nyldon_bruteforce(word)
-        else:
-            gset = oracle.enumerate_members(word.alphabet, len(word), policy)
-            member = oracle.is_member_bruteforce(word, gset)
-    else:
-        member = len(melancon.factorize(word, policy).factors) == 1
+    member = _run_engine(word, policy, args.algorithm, member=True)
     _emit(
         args,
         {"word": str(word), "member": member},
@@ -105,6 +116,8 @@ def _cmd_is_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjugate(args: argparse.Namespace) -> int:
+    from . import melancon
+
     alphabet = _alphabet(args)
     word = _word(args.word, alphabet)
     policy = _policy(args)
@@ -126,6 +139,8 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from . import melancon
+
     alphabet = _alphabet(args)
     word = _word(args.word, alphabet)
     policy = _policy(args)
@@ -144,6 +159,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import hallsets
+
     alphabet = _alphabet(args)
     policy = _policy(args)
     gset = hallsets.generate(
@@ -166,6 +183,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_hall(args: argparse.Namespace) -> int:
+    from . import hallsets
+
     alphabet = _alphabet(args)
     policy = _policy(args)
     gset = hallsets.generate(policy, alphabet, args.max_len, validate=False)
@@ -186,6 +205,8 @@ def _cmd_verify_hall(args: argparse.Namespace) -> int:
 
 
 def _cmd_lazard(args: argparse.Namespace) -> int:
+    from . import lazard
+
     alphabet = _alphabet(args)
     if args.kraft is not None and args.kraft < 1:
         raise ValueError("--kraft must be at least 1")
@@ -222,6 +243,8 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
 
 
 def _cmd_circular_check(args: argparse.Namespace) -> int:
+    from . import analysis, hallsets
+
     alphabet = _alphabet(args)
     gset = hallsets.generate(get_policy("lex"), alphabet, args.length)
     code = [w for w in gset.words() if len(w) == args.length]
@@ -242,6 +265,8 @@ def _cmd_circular_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_power_scan(args: argparse.Namespace) -> int:
+    from . import analysis
+
     alphabet = _alphabet(args)
     report = analysis.k_bound_scan(alphabet, args.max_len, jobs=args.jobs)
     payload = report.to_dict()
@@ -257,6 +282,8 @@ def _cmd_power_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_lyndon_check(args: argparse.Namespace) -> int:
+    from . import analysis
+
     alphabet = _alphabet(args)
     ok = analysis.lyndon_suffix_check(alphabet, args.max_len, jobs=args.jobs)
     _emit(
@@ -278,11 +305,18 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         if not res.ok:
             failures += 1
     if args.json:
+        import json
+
         print(json.dumps([res.to_dict() for res in results], indent=2))
     return 0 if failures == 0 else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import random
+
+    from . import fastfactor, melancon
+    from .order import LEX, CountingPolicy
+
     alphabet = _alphabet(args)
     rng = random.Random(0xBE7C)
     print("n,algorithm,comparisons,nanos")

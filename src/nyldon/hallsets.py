@@ -125,8 +125,7 @@ def generate(
     reps = (w for w in lyndon_words(alphabet, max_len) if len(w) >= 2)
     found = (melancon.conjugate(w, policy).letters for w in reps)
     # Added in shortlex order, as a word-by-word scan adds them, so the set
-    # iterates (and validate_nyldon_like lists its counterexamples) in that
-    # order.
+    # iterates in that order.
     members = {(c,) for c in range(alphabet.size)}
     members.update(sorted(found, key=lambda t: (len(t), t)))
     gset = oracle.GeneratedSet(alphabet, max_len, policy.id, frozenset(members))
@@ -156,12 +155,17 @@ def generate(
 def validate_nyldon_like(
     gset: oracle.GeneratedSet, policy: OrderPolicy | None = None
 ) -> NyldonLikeCheck:
-    """Check f < fg for every pair of members whose product is a member."""
+    """Check f < fg for every pair of members whose product is a member;
+    counterexamples are sorted by (f, g), as `verify_hall` sorts its own."""
     policy = policy or get_policy(gset.policy_id)
-    violations = tuple(
-        (Word(f, gset.alphabet), Word(g, gset.alphabet), "nyldon_like")
+    pairs = sorted(
+        (f, g)
         for f, g, fg in _member_pairs(gset.member_tuples)
         if policy.compare(f, fg) >= 0
+    )
+    violations = tuple(
+        (Word(f, gset.alphabet), Word(g, gset.alphabet), "nyldon_like")
+        for f, g in pairs
     )
     return NyldonLikeCheck(not violations, violations)
 

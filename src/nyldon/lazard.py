@@ -27,11 +27,13 @@ import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError, InvariantError
 from .words import Alphabet, Word, _unchecked_word
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,8 @@ def kraft_counts(state: LazardState, max_len: int) -> list[int]:
 
 def kraft_sum(state: LazardState, max_len: int) -> Fraction:
     """Exact partial Kraft sum of the working set over lengths <= max_len."""
+    from fractions import Fraction
+
     counts = kraft_counts(state, max_len)
     s = state.alphabet.size
     return sum(

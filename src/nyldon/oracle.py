@@ -13,14 +13,16 @@ every substring seen is itself a short word that other sweep entries share.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError, InvariantError
 from .order import OrderPolicy, get_policy
 from .words import Alphabet, Factorization, Word
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +151,9 @@ class GeneratedSet:
 
     def save(self, path: str | Path) -> None:
         """JSON header line, then one word per line in shortlex order."""
+        import json
+        from pathlib import Path
+
         header = {
             "alphabet_size": self.alphabet.size,
             "max_len": self.max_len,
@@ -161,6 +166,9 @@ class GeneratedSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "GeneratedSet":
+        import json
+        from pathlib import Path
+
         lines = Path(path).read_text().splitlines()
         header = json.loads(lines[0])
         alphabet = Alphabet(header["alphabet_size"])

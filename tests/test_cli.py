@@ -1,6 +1,7 @@
 """CLI surface: outputs, JSON payloads, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nyldon
 from nyldon import BINARY, LEX, InvariantError, analysis, cli, hallsets, oracle
 from nyldon.acceptance import TABLE1_WORDS
 
@@ -22,15 +24,70 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_does_not_load_numpy():
-    # every CLI call pays for `import nyldon`, so it must stay light
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this checkout's src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import nyldon, sys; print('numpy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`."""
+    result = _fresh("-c", code + "; import sys; print(' '.join(sys.modules))")
+    return set(result.stdout.split())
+
+
+def test_import_does_not_load_numpy():
+    # every CLI call pays for `import nyldon`, so it must stay light
+    assert "numpy" not in _loaded_after("import nyldon")
+
+
+def test_cli_import_loads_no_subcommand_module():
+    # only --jobs > 1, --kraft and --json need these; each subcommand
+    # imports what it runs
+    heavy = {
+        "concurrent.futures",
+        "multiprocessing",
+        "fractions",
+        "json",
+        "nyldon.analysis",
+        "nyldon.hallsets",
+        "nyldon.lazard",
+        "nyldon.oracle",
+        "nyldon.acceptance",
+    }
+    assert not heavy & _loaded_after("import nyldon.cli")
+
+
+def test_default_factor_loads_only_the_stack_factorizer():
+    # -X importtime lists every module the process imports on stderr
+    result = _fresh("-X", "importtime", "-m", "nyldon.cli", "factor", "0110")
+    assert result.stdout == "0 1 10\n"
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "nyldon.fastfactor" in loaded
+    assert "nyldon.melancon" not in loaded
+
+
+def test_version_loads_no_submodule():
+    loaded = _loaded_after("import nyldon; nyldon.__version__")
+    assert not {m for m in loaded if m.startswith("nyldon.")}
+
+
+def test_every_public_name_comes_from_its_module():
+    for name in nyldon.__all__:
+        module = importlib.import_module(f"nyldon.{nyldon._MODULE_OF[name]}")
+        namespace: dict = {}
+        exec(f"from nyldon import {name}", namespace)
+        assert namespace[name] is getattr(module, name), name
+        assert getattr(namespace[name], "__module__", module.__name__) == module.__name__
+
+
+def test_lazy_namespace_lists_and_rejects_names():
+    assert set(nyldon.__all__) <= set(dir(nyldon))
+    with pytest.raises(AttributeError):
+        nyldon.no_such_name
 
 
 def test_factor_default(capsys):
@@ -206,6 +263,16 @@ def test_power_scan(capsys):
     code, out, _ = run_cli(capsys, "power-scan", "--max-len", "6")
     assert code == 0
     assert "violations: 0" in out
+
+
+def test_power_scan_jobs_do_not_change_output(capsys):
+    # --jobs 2 runs the process pool, whose import is deferred to that branch
+    outs = [
+        run_cli(capsys, "power-scan", "--max-len", "8", "--jobs", jobs)
+        for jobs in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
 
 
 def test_lyndon_check(capsys):

@@ -111,6 +111,21 @@ def test_growth_counterexample_is_concrete():
     assert (f + g).letters in gset.member_tuples
 
 
+def test_growth_clause_names_the_least_counterexample():
+    # validate_nyldon_like sorts by (f, g), as verify_hall does, so the
+    # error generate raises does not follow the member set's hash layout
+    gset = generate(RLEX, BINARY, 8, validate=False)
+    shortlex = sorted(gset.member_tuples, key=lambda t: (len(t), t))
+    backward = dataclasses.replace(gset, member_tuples=frozenset(shortlex[::-1]))
+    check = validate_nyldon_like(gset, RLEX)
+    assert validate_nyldon_like(backward, RLEX) == check
+    keys = [(f.letters, g.letters) for f, g, _ in check.counterexamples]
+    assert len(keys) == 121
+    assert keys == sorted(keys)
+    with pytest.raises(PolicyViolationError, match=r"f=0, g=0000001 "):
+        generate(RLEX, BINARY, 8)
+
+
 def test_factorization_uniqueness_standalone():
     gset = generate(LEX, BINARY, 6)
     assert verify_factorization_property(gset, LEX)

@@ -210,11 +210,15 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
     alphabet = _alphabet(args)
     if args.kraft is not None and args.kraft < 1:
         raise ValueError("--kraft must be at least 1")
-    report = lazard.lazard_report(alphabet, args.max_len)
+    if args.trace or args.kraft is not None:
+        # one elimination: the summary comes from the snapshots themselves
+        states = lazard.lazard_run(alphabet, args.max_len)
+        report = lazard.finishing_step(states)
+    else:
+        states = []
+        report = lazard.lazard_report(alphabet, args.max_len)
     payload = report.to_dict()
     lines: list[str] = []
-    snapshots = args.trace or args.kraft is not None
-    states = lazard.lazard_run(alphabet, args.max_len) if snapshots else []
     if args.trace:
         payload["trace"] = []
         for st in states:

@@ -8,16 +8,19 @@ the working set is reduced to a single word.
 
 One driver runs the procedure, over byte-encoded words (letter tuples for
 alphabets above 256 letters) with a heap and a per-length index, so that
-bounds around 20 letters complete quickly. `lazard_report` streams it and keeps only the
-removed words; `lazard_run` adds a per-step snapshot of the working set (under
-a word budget); `materialize_y` replays a removal history through the same
+bounds around 20 letters complete quickly. `lazard_report` streams it and keeps
+only the removed words. `lazard_run` adds a per-step snapshot of the working
+set (under a word budget), built from the previous snapshot minus the removed
+word plus the words the driver reports as added, so each word is converted
+and hashed once. `materialize_y` replays a removal history through the same
 elimination step.
 
 The finishing step of a complete run is the first step whose removed-so-far
 words together with the working set already cover every word the run will ever
 remove. The word removed immediately before that step is the stop word; closed
-forms for it and for the number of steps after it are provided for the length
-regimes where they are exact.
+forms for it and for the number of steps after it are provided, each with the
+length regime it covers (the even-length count is the paper's form, which
+undercounts).
 """
 
 from __future__ import annotations
@@ -85,9 +88,12 @@ def _eliminate(alphabet: Alphabet, n: int, on_step=None, history=None):
 
     Each step removes the least word u of the working set, or the next word
     of `history` up to length n when one is given, then adds every x u^j
-    (j >= 1) that fits under the bound. `on_step(step, u, current)` is called
-    before each removal. Returns the removed words, the finishing step (the
-    last step at which a word first appears) and the final working set.
+    (j >= 1) that fits under the bound. `on_step(step, u, current, added)` is
+    called before each removal, with the words added since the previous call
+    (the letters at step 1), so a caller can follow the working set as the
+    previous one minus the removed word plus `added`. Returns the removed
+    words, the finishing step (the last step at which a word first appears)
+    and the final working set.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -101,24 +107,25 @@ def _eliminate(alphabet: Alphabet, n: int, on_step=None, history=None):
         removals = (encode(u.letters) for u in history if len(u) <= n)
     chosen: list = []
     finishing = 1
-    for u in removals:
-        step = len(chosen) + 1
+    added = list(current)  # words added since the last on_step call
+    for step, u in enumerate(removals, 1):
         if on_step is not None:
-            on_step(step, u, current)
+            on_step(step, u, current, added)
         if u not in current:
             raise InvariantError(
                 f"history removes {Word(tuple(u), alphabet)}, which is not present"
             )
+        room = n - len(u)  # the longest word that u can still extend
         current.remove(u)
         by_len[len(u)].remove(u)
         chosen.append(u)
-        p = len(u)
+        added = []
         # Longest x first: an extension is longer than its x, so each length
         # is read before this step adds to it.
-        for q in range(n - p, 0, -1):
+        for q in range(room, 0, -1):
             for x in by_len[q]:
                 ext = x
-                while len(ext) + p <= n:
+                while len(ext) <= room:
                     ext = ext + u
                     if ext in seen:
                         if ext in current:
@@ -131,20 +138,27 @@ def _eliminate(alphabet: Alphabet, n: int, on_step=None, history=None):
                     current.add(ext)
                     by_len[len(ext)].add(ext)
                     heapq.heappush(heap, ext)
-                    finishing = step + 1
+                    added.append(ext)
+        if added:
+            finishing = step + 1
     return chosen, finishing, current
 
 
 def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
     """Run the procedure keeping a snapshot of every step. Raises
     BudgetExceededError once the snapshots would hold more than
-    DEFAULT_WORD_BUDGET working-set words in total (binary n <= 13 fits)."""
-    words: dict = {}  # encoded word -> Word, so each Word is built once
+    DEFAULT_WORD_BUDGET working-set words in total (binary n <= 13 fits).
+
+    Each snapshot is the previous one minus the word removed there plus the
+    words the driver added since, so each Word is built and hashed once, when
+    it first appears, and copied into later snapshots with its stored hash."""
+    words: dict = {}  # encoded word -> Word
+    live: set[Word] = set()  # the working set at the latest snapshot
     chosen: list[Word] = []
     states: list[LazardState] = []
     held = 0
 
-    def snapshot(step: int, u, current: set) -> None:
+    def snapshot(step: int, u, current: set, added: list) -> None:
         nonlocal held
         held += len(current)
         if held > DEFAULT_WORD_BUDGET:
@@ -152,11 +166,13 @@ def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
                 f"snapshots exceed {DEFAULT_WORD_BUDGET} working-set words at "
                 f"step {step} of the run truncated at {n}"
             )
-        for x in current - words.keys():
-            words[x] = _unchecked_word(tuple(x), alphabet)
-        current_words = frozenset({words[x] for x in current})
+        if chosen:
+            live.remove(chosen[-1])
+        for x in added:
+            w = words[x] = _unchecked_word(tuple(x), alphabet)
+            live.add(w)
         states.append(
-            LazardState(alphabet, n, step, tuple(chosen), current_words, words[u])
+            LazardState(alphabet, n, step, tuple(chosen), frozenset(live), words[u])
         )
         chosen.append(words[u])
 
@@ -231,14 +247,14 @@ def materialize_y(
 ) -> frozenset[Word]:
     """Replay the removal history to list the working set up to max_len."""
 
-    def within_budget(step, u, current: set) -> None:
+    def within_budget(step, u, current: set, added) -> None:
         if budget is not None and len(current) > budget:
             raise BudgetExceededError(
                 f"materialized set exceeds {budget} words at step {state.step}"
             )
 
     _, _, current = _eliminate(state.alphabet, max_len, within_budget, state.chosen)
-    within_budget(None, None, current)
+    within_budget(None, None, current, None)
     return frozenset(Word(tuple(x), state.alphabet) for x in current)
 
 
@@ -328,8 +344,11 @@ def predicted_stop_word(alphabet: Alphabet, length: int) -> Word:
 def count_words_after_stop(alphabet: Alphabet, length: int) -> int:
     """Closed form for total_steps - (finishing_step - 1).
 
-    Exact for odd lengths 2n+1 with n >= 7 and even lengths 2n with n >= 9;
-    outside those regimes, measure with lazard_report instead.
+    The odd form is exact for lengths 2n+1 with n >= 7 (binary 15: 492, as
+    lazard_report measures). The even form, for lengths 2n with n >= 9, is
+    the paper's and undercounts: at binary 18 it gives 477 where
+    lazard_report measures 2004, and at binary 20 it gives 989 against 4052.
+    Outside the odd regime, measure with lazard_report instead.
     """
     s = alphabet.size
     if length % 2 == 1:

@@ -236,6 +236,23 @@ def test_lazard_snapshots_are_capped(capsys):
     assert "total_steps: 2538" in out
 
 
+def test_lazard_trace_runs_one_elimination(capsys, monkeypatch):
+    from nyldon import lazard
+
+    calls = []
+    eliminate = lazard._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(lazard, "_eliminate", counted)
+    code, out, _ = run_cli(capsys, "lazard", "--max-len", "8", "--trace")
+    assert code == 0
+    assert "finishing_step: " in out
+    assert len(calls) == 1
+
+
 def test_lazard_json(capsys):
     code, out, _ = run_cli(
         capsys, "lazard", "--max-len", "5", "--trace", "--json"

@@ -24,6 +24,7 @@ from nyldon import (
     predicted_stop_word,
 )
 from nyldon.acceptance import TABLE2_ROWS
+from nyldon.errors import DEFAULT_WORD_BUDGET
 from nyldon.lazard import kraft_counts, largest_member_upto
 
 
@@ -68,9 +69,22 @@ def test_snapshot_length_counts_match_kraft_counts():
         assert by_length[1:] == kraft_counts(st, n)[1:]
 
 
+def test_every_snapshot_matches_a_replay_of_its_history():
+    # materialize_y rebuilds the working set from the removal history alone,
+    # never from the words the driver reports as added at each step
+    for alphabet, lengths in ((BINARY, range(2, 11)), (TERNARY, range(2, 7))):
+        for n in lengths:
+            for st in lazard_run(alphabet, n):
+                assert st.current == materialize_y(st, n)
+
+
 def test_snapshots_stop_at_the_word_budget():
-    with pytest.raises(BudgetExceededError, match=r"at step \d+"):
+    with pytest.raises(BudgetExceededError) as excinfo:
         lazard_run(BINARY, 14)
+    assert str(excinfo.value) == (
+        f"snapshots exceed {DEFAULT_WORD_BUDGET} working-set words "
+        "at step 2025 of the run truncated at 14"
+    )
     assert lazard_report(BINARY, 14).total_steps == 2538
 
 
@@ -131,6 +145,13 @@ def test_count_formula_regimes():
 def test_odd_count_formula_matches_measurement():
     report = lazard_report(BINARY, 15)
     assert report.words_after_stop == count_words_after_stop(BINARY, 15) == 492
+
+
+def test_even_count_form_undercounts_measurement():
+    # the paper's even-length form, kept as it is: it falls far short of
+    # what the run measures
+    assert lazard_report(BINARY, 18).words_after_stop == 2004
+    assert count_words_after_stop(BINARY, 18) == 477
 
 
 def test_kraft_counts_match_materialization():

@@ -38,6 +38,17 @@ class BudgetExceededError(NyldonError):
 DEFAULT_WORD_BUDGET = 2_000_000
 
 
+def check_word_budget(
+    what: str, alphabet_size: int, max_len: int, budget: int | None
+) -> int:
+    """The number of words of length 1..max_len, which a scan named `what`
+    would visit; raises BudgetExceededError above `budget` (None: no limit)."""
+    total = sum(alphabet_size**n for n in range(1, max_len + 1))
+    if budget is not None and total > budget:
+        raise BudgetExceededError(f"{what} would visit {total} words (budget {budget})")
+    return total
+
+
 class InvariantError(NyldonError):
     """An internal invariant or a proven bound failed: a bug, or malformed
     state handed in by the caller. Raised explicitly so the check survives

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import melancon, oracle
-from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError
+from .errors import DEFAULT_WORD_BUDGET, check_word_budget
 from .errors import InvariantError, PolicyViolationError
 from .order import OrderPolicy, get_policy
 from .words import Alphabet, Word, lyndon_words
@@ -75,13 +75,6 @@ class HallVerdict:
         }
 
 
-def _check_budget(alphabet: Alphabet, max_len: int, budget: int | None) -> int:
-    total = sum(alphabet.size**n for n in range(1, max_len + 1))
-    if budget is not None and total > budget:
-        raise BudgetExceededError(f"sweep would visit {total} words (budget {budget})")
-    return total
-
-
 def _word_at(alphabet: Alphabet, index: int) -> tuple[int, ...]:
     """The index-th word (from 0) of length >= 1 in shortlex order."""
     n, size = 1, alphabet.size
@@ -121,7 +114,7 @@ def generate(
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    total = _check_budget(alphabet, max_len, budget)
+    total = check_word_budget("sweep", alphabet.size, max_len, budget)
     reps = (w for w in lyndon_words(alphabet, max_len) if len(w) >= 2)
     found = (melancon.conjugate(w, policy).letters for w in reps)
     # Added in shortlex order, as a word-by-word scan adds them, so the set
@@ -181,37 +174,11 @@ def verify_factorization_property(
     test_len = gset.max_len if test_len is None else test_len
     if test_len > gset.max_len:
         raise ValueError("test_len exceeds the set's max_len")
-    _check_budget(gset.alphabet, test_len, budget)
+    check_word_budget("sweep", gset.alphabet.size, test_len, budget)
     policy = policy or get_policy(gset.policy_id)
-    cmp = policy.compare
-    members = gset.member_tuples
-
-    def count_factorizations(letters: tuple[int, ...]) -> int:
-        n = len(letters)
-        memo: dict[tuple[int, int], int] = {}
-
-        def rest(pos: int, bound_start: int) -> int:
-            if pos == n:
-                return 1
-            key = (pos, bound_start)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            bound = letters[bound_start:pos]
-            total = 0
-            for t in range(pos + 1, n + 1):
-                factor = letters[pos:t]
-                if factor in members and cmp(factor, bound) >= 0:
-                    total += rest(t, pos)
-            memo[key] = total
-            return total
-
-        # The first factor has no predecessor to compare against.
-        return sum(rest(t, 0) for t in range(1, n + 1) if letters[:t] in members)
-
     for n in range(1, test_len + 1):
         for tup in itertools.product(range(gset.alphabet.size), repeat=n):
-            count = count_factorizations(tup)
+            count = oracle.parse_count(tup, gset.member_tuples, policy.compare)
             if count != 1:
                 return FactorizationCheck(False, Word(tup, gset.alphabet), count)
     return FactorizationCheck(True)

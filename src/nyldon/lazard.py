@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError, InvariantError
+from .errors import check_word_budget
 from .words import Alphabet, Word, _unchecked_word
 
 if TYPE_CHECKING:
@@ -262,6 +263,8 @@ def code_check(
     words: Iterable[Word], max_len: int, budget: int | None = DEFAULT_WORD_BUDGET
 ) -> CodeCheck:
     """Unique decodability: no word of length <= max_len parses two ways."""
+    from .oracle import parse_count
+
     pool = sorted(set(words))
     if not pool:
         return CodeCheck(True)
@@ -271,35 +274,12 @@ def code_check(
             raise ValueError("code words must share one alphabet")
         if len(w) == 0:
             raise ValueError("code words must be nonempty")
-    codewords = {w.letters for w in pool}
+    codewords = frozenset(w.letters for w in pool)
 
-    total = sum(alphabet.size**n for n in range(1, max_len + 1))
-    if budget is not None and total > budget:
-        raise BudgetExceededError(
-            f"decodability sweep would visit {total} words (budget {budget})"
-        )
-
-    def parse_count(tup: tuple[int, ...]) -> int:
-        n = len(tup)
-        memo: list[int | None] = [None] * (n + 1)
-
-        def rec(pos: int) -> int:
-            if pos == n:
-                return 1
-            if memo[pos] is not None:
-                return memo[pos]
-            total = 0
-            for t in range(pos + 1, n + 1):
-                if tup[pos:t] in codewords:
-                    total += rec(t)
-            memo[pos] = total
-            return total
-
-        return rec(0)
-
+    check_word_budget("decodability sweep", alphabet.size, max_len, budget)
     for n in range(1, max_len + 1):
         for tup in itertools.product(range(alphabet.size), repeat=n):
-            count = parse_count(tup)
+            count = parse_count(tup, codewords)
             if count > 1:
                 return CodeCheck(False, Word(tup, alphabet), count)
     return CodeCheck(True)

@@ -8,6 +8,11 @@ checked against this module independently.
 Membership and tail-factorization results are memoized on raw letter tuples in
 module-level caches, which makes exhaustive sweeps over all short words cheap:
 every substring seen is itself a short word that other sweep entries share.
+
+`parse_count` counts the parses of a word into an explicit set, optionally
+nondecreasing under an order. It is the one parse-count DP: membership in a
+generated set (no parse into smaller members), unique factorization (one
+nondecreasing parse, `hallsets`) and unique decodability (`lazard`) use it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError, InvariantError
+from .errors import DEFAULT_WORD_BUDGET, InvariantError, check_word_budget
 from .order import OrderPolicy, get_policy
 from .words import Alphabet, Factorization, Word
 
@@ -180,35 +185,36 @@ class GeneratedSet:
         return cls(alphabet, header["max_len"], header["policy_id"], tuples)
 
 
-def _has_member_factorization(
+def parse_count(
     letters: tuple[int, ...],
     members: frozenset[tuple[int, ...]],
-    policy: OrderPolicy,
-) -> bool:
-    """Does `letters` split into >= 2 smaller members, nondecreasing under policy?"""
-    n = len(letters)
-    cmp = policy.compare
-    memo: dict[tuple[int, int], bool] = {}
+    compare: Callable[[tuple[int, ...], tuple[int, ...]], int] | None = None,
+) -> int:
+    """The number of ways to write `letters` as a sequence of `members`.
 
-    def rest_ok(pos: int, bound_start: int) -> bool:
-        key = (pos, bound_start)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        bound = letters[bound_start:pos]
-        result = False
+    With a three-way `compare`, only nondecreasing sequences count: each
+    factor compares >= 0 against the one before it. Without it this counts
+    the parses of `letters` into the code `members`.
+    """
+    n = len(letters)
+    # ends[pos]: (last factor, number of parses) for each way a parse of
+    # letters[:pos] can end; the empty prefix has no last factor. Only the
+    # reachable prefixes get an entry, and each is dropped once extended.
+    ends: dict[int, list[tuple[tuple[int, ...] | None, int]]] = {0: [(None, 1)]}
+    for pos in range(n):
+        parses = ends.pop(pos, None)
+        if parses is None:
+            continue
         for t in range(pos + 1, n + 1):
             factor = letters[pos:t]
-            if len(factor) < n and factor in members and cmp(factor, bound) >= 0:
-                if t == n or rest_ok(t, pos):
-                    result = True
-                    break
-        memo[key] = result
-        return result
-
-    return any(
-        letters[:k] in members and rest_ok(k, 0) for k in range(1, n)
-    )
+            if factor in members:
+                count = 0
+                for last, c in parses:
+                    if last is None or compare is None or compare(factor, last) >= 0:
+                        count += c
+                if count:
+                    ends.setdefault(t, []).append((factor, count))
+    return sum(c for _, c in ends.get(n, ()))
 
 
 def is_member_bruteforce(word: Word, gset: GeneratedSet) -> bool:
@@ -221,7 +227,7 @@ def is_member_bruteforce(word: Word, gset: GeneratedSet) -> bool:
         return True
     policy = get_policy(gset.policy_id)
     smaller = frozenset(t for t in gset.member_tuples if len(t) < len(word))
-    return not _has_member_factorization(word.letters, smaller, policy)
+    return parse_count(word.letters, smaller, policy.compare) == 0
 
 
 def enumerate_members(
@@ -233,16 +239,12 @@ def enumerate_members(
     """Generate the set length by length, straight from the definition."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    total_words = sum(alphabet.size**n for n in range(1, max_len + 1))
-    if budget is not None and total_words > budget:
-        raise BudgetExceededError(
-            f"enumeration would visit {total_words} words (budget {budget})"
-        )
+    check_word_budget("enumeration", alphabet.size, max_len, budget)
     members: set[tuple[int, ...]] = {(c,) for c in range(alphabet.size)}
     for n in range(2, max_len + 1):
         frozen = frozenset(members)
         for tup in itertools.product(range(alphabet.size), repeat=n):
-            if not _has_member_factorization(tup, frozen, policy):
+            if parse_count(tup, frozen, policy.compare) == 0:
                 members.add(tup)
     return GeneratedSet(alphabet, max_len, policy.id, frozenset(members))
 
@@ -286,9 +288,3 @@ def primitive_necklace_count(alphabet_size: int, n: int) -> int:
     if total % n:
         raise InvariantError(f"necklace sum {total} is not divisible by {n}")
     return total // n
-
-
-def clear_caches() -> None:
-    _is_nyldon.cache_clear()
-    _tail_factors.cache_clear()
-    _tail_count.cache_clear()

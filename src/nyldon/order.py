@@ -32,24 +32,6 @@ class OrderPolicy:
     def __repr__(self) -> str:
         return f"OrderPolicy({self.id!r})"
 
-    def key(self, letters: tuple[int, ...]):
-        """A sort key consistent with the policy, for heaps and sorting."""
-        return _PolicyKey(self, letters)
-
-
-class _PolicyKey:
-    __slots__ = ("policy", "letters")
-
-    def __init__(self, policy: OrderPolicy, letters: tuple[int, ...]):
-        self.policy = policy
-        self.letters = letters
-
-    def __lt__(self, other: "_PolicyKey") -> bool:
-        return self.policy.compare(self.letters, other.letters) < 0
-
-    def __eq__(self, other) -> bool:
-        return self.policy.compare(self.letters, other.letters) == 0
-
 
 def _lex_compare(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     if u == v:

@@ -61,6 +61,11 @@ def test_cli_import_loads_no_subcommand_module():
     assert not heavy & _loaded_after("import nyldon.cli")
 
 
+def test_lazard_import_loads_no_oracle():
+    # `nyldon lazard` spawns import the driver; only code_check needs the DP
+    assert "nyldon.oracle" not in _loaded_after("import nyldon.lazard")
+
+
 def test_default_factor_loads_only_the_stack_factorizer():
     # -X importtime lists every module the process imports on stderr
     result = _fresh("-X", "importtime", "-m", "nyldon.cli", "factor", "0110")

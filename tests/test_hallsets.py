@@ -1,6 +1,7 @@
 """Policy-generated sets and their Hall/Viennot verdicts."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -11,12 +12,14 @@ from nyldon import (
     TERNARY,
     InvariantError,
     PolicyViolationError,
+    Word,
     generate,
     melancon,
     oracle,
     verify_hall,
 )
-from nyldon.hallsets import validate_nyldon_like, verify_factorization_property
+from nyldon.hallsets import FactorizationCheck, validate_nyldon_like
+from nyldon.hallsets import verify_factorization_property
 from nyldon.order import OrderPolicy, register_policy
 from nyldon.words import is_lyndon
 
@@ -132,6 +135,14 @@ def test_factorization_uniqueness_standalone():
     assert verify_factorization_property(gset, LEX, test_len=4)
     with pytest.raises(ValueError):
         verify_factorization_property(gset, LEX, test_len=7)
+
+
+def test_factorization_failure_names_witness_and_count():
+    # every word of length <= 3 is a member, so 00 = (0)(0) = (00)
+    words = (t for n in (1, 2, 3) for t in itertools.product((0, 1), repeat=n))
+    gset = oracle.GeneratedSet(BINARY, 3, "lex", frozenset(words))
+    check = verify_factorization_property(gset, LEX)
+    assert check == FactorizationCheck(False, Word.parse("00"), 2)
 
 
 def test_custom_policy_roundtrip():

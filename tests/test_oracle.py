@@ -1,10 +1,18 @@
 """Definitional oracles: membership, factorization, enumeration, counts."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nyldon import (
     BINARY,
+    LEX,
+    BudgetExceededError,
     Word,
+    code_check,
+    generate,
     enumerate_members,
     enumerate_nyldon,
     is_member_bruteforce,
@@ -15,6 +23,8 @@ from nyldon import (
     words_up_to,
 )
 from nyldon.acceptance import TABLE1_COUNTS, TABLE1_WORDS
+from nyldon.hallsets import verify_factorization_property
+from nyldon.oracle import parse_count
 from nyldon.order import RLEX
 from nyldon.words import is_lyndon
 
@@ -133,3 +143,70 @@ def test_ternary_members_smoke(ternary6):
     # 102 factors as 10 . 2, a nondecreasing pair of members
     assert (1, 0, 2) not in tuples
     assert (0, 1) not in tuples
+
+
+def _parse_count_bruteforce(letters, members, compare):
+    """Count over all 2^(n-1) ways to cut `letters` into factors."""
+    n = len(letters)
+    count = 0
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        bounds = [0] + [i for i, cut in enumerate(cuts, 1) if cut] + [n]
+        factors = [letters[a:b] for a, b in zip(bounds, bounds[1:])]
+        if all(f in members for f in factors) and (
+            compare is None
+            or all(compare(g, f) >= 0 for f, g in zip(factors, factors[1:]))
+        ):
+            count += 1
+    return count
+
+
+_NON_CODE = frozenset({(0,), (0, 0), (1,)})
+_LEX8 = generate(LEX, BINARY, 8).member_tuples
+
+
+@st.composite
+def words_and_members(draw):
+    kind = draw(st.sampled_from(["random", "non-code", "lex8"]))
+    size = draw(st.sampled_from([2, 3])) if kind == "random" else 2
+    if kind == "random":
+        pool = [t for n in (1, 2, 3) for t in itertools.product(range(size), repeat=n)]
+        members = frozenset(draw(st.sets(st.sampled_from(pool))))
+    else:
+        members = _NON_CODE if kind == "non-code" else _LEX8
+    letters = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=9))
+    return tuple(letters), members
+
+
+@pytest.mark.parametrize(
+    "compare", [None, LEX.compare, RLEX.compare], ids=["none", "lex", "rlex"]
+)
+@settings(max_examples=150)
+@given(words_and_members())
+def test_parse_count_matches_every_cut(compare, case):
+    letters, members = case
+    expected = _parse_count_bruteforce(letters, members, compare)
+    assert parse_count(letters, members, compare) == expected
+
+
+@pytest.mark.parametrize(
+    "scan, message",
+    [
+        (
+            lambda: verify_factorization_property(generate(LEX, BINARY, 3), budget=10),
+            "sweep would visit 14 words (budget 10)",
+        ),
+        (
+            lambda: enumerate_members(BINARY, 3, LEX, budget=10),
+            "enumeration would visit 14 words (budget 10)",
+        ),
+        (
+            lambda: code_check([Word.parse("0"), Word.parse("1")], 3, budget=10),
+            "decodability sweep would visit 14 words (budget 10)",
+        ),
+    ],
+    ids=["sweep", "enumeration", "decodability"],
+)
+def test_word_budget_messages(scan, message):
+    with pytest.raises(BudgetExceededError) as info:
+        scan()
+    assert str(info.value) == message

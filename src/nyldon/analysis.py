@@ -11,40 +11,25 @@ Three families of checks live here:
 * a suffix criterion for Lyndon words: any word lexicographically smaller
   than all of its Lyndon proper suffixes is itself Lyndon.
 
-Scans honor the NYLDON_BUDGET_MS environment variable as a soft wall-clock
-cap and can fan out across processes with a jobs argument.
+Each scan checks, before it starts, how many words it would visit against
+the one word budget (`errors.DEFAULT_WORD_BUDGET`): the suffix scan counts
+every word up to its max_len, the power scan the Lyndon representatives it
+profiles, the circular check the codeword blocks its sequences concatenate.
+The power and suffix scans can fan out across processes with a jobs
+argument.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
 
 from . import fastfactor, melancon
-from .errors import BudgetExceededError, InvariantError, NotPrimitiveError
+from .errors import DEFAULT_WORD_BUDGET, InvariantError, NotPrimitiveError
+from .errors import check_budget, check_word_budget
 from .words import Alphabet, Word, is_primitive, lyndon_words, minimal_period
-
-DEFAULT_OP_BUDGET = 5_000_000
-
-
-class Deadline:
-    """Soft wall-clock cap read from NYLDON_BUDGET_MS (unset = no cap)."""
-
-    def __init__(self, budget_ms: float | None = None) -> None:
-        if budget_ms is None:
-            raw = os.environ.get("NYLDON_BUDGET_MS")
-            budget_ms = float(raw) if raw else None
-        self._expires = (
-            None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        )
-
-    def check(self, what: str) -> None:
-        if self._expires is not None and time.monotonic() > self._expires:
-            raise BudgetExceededError(f"{what} exceeded NYLDON_BUDGET_MS")
 
 
 @dataclass(frozen=True)
@@ -106,11 +91,13 @@ def rotation_parse(
 def circular_code_check(
     code: Iterable[Word],
     max_blocks: int,
-    budget: int | None = DEFAULT_OP_BUDGET,
+    budget: int | None = DEFAULT_WORD_BUDGET,
 ) -> CircularCodeVerdict:
     """Exhaustively test circularity over all codeword sequences of up to
     max_blocks blocks and all rotation offsets that are not multiples of the
-    block length."""
+    block length. The budget counts the codeword blocks the sequences
+    concatenate, sum of t * |code|^t for t = 1..max_blocks, so a long
+    sequence counts once per block it holds."""
     pool = sorted(set(code))
     if not pool:
         raise ValueError("code must be nonempty")
@@ -121,17 +108,16 @@ def circular_code_check(
     if max_blocks < 1:
         raise ValueError("max_blocks must be at least 1")
 
-    work = sum(len(pool) ** t * t * ell for t in range(1, max_blocks + 1))
-    if budget is not None and work > budget:
-        raise BudgetExceededError(
-            f"circular check would inspect ~{work} rotations (budget {budget})"
-        )
+    if ell == 1:
+        # every rotation offset is a multiple of one letter: nothing to test
+        return CircularCodeVerdict(frozenset(pool), True, None)
+
+    blocks = sum(t * len(pool) ** t for t in range(1, max_blocks + 1))
+    check_budget(blocks, budget, "circular check would concatenate")
 
     members = {w.letters for w in pool}
-    deadline = Deadline()
     for t in range(1, max_blocks + 1):
         for seq in product(pool, repeat=t):
-            deadline.check("circular_code_check")
             letters: tuple[int, ...] = ()
             for w in seq:
                 letters = letters + w.letters
@@ -274,6 +260,18 @@ def _profile_rep(args: tuple[int, tuple[int, ...], int]) -> tuple[tuple[int, ...
     return letters, base.K, stable
 
 
+def _lyndon_count(size: int, max_len: int) -> int:
+    """The number of Lyndon words of length 1..max_len over `size` letters.
+    Each word of length n is u^(n/d) for one primitive word u of length
+    d | n, and the primitive words of length d are the d rotations of each
+    of the L(d) Lyndon words, so size^n = sum of d * L(d) over those d."""
+    counts = [0] * (max_len + 1)
+    for n in range(1, max_len + 1):
+        proper = sum(d * counts[d] for d in range(1, n) if n % d == 0)
+        counts[n] = (size**n - proper) // n
+    return sum(counts)
+
+
 def k_bound_scan(
     alphabet: Alphabet,
     max_len: int,
@@ -283,7 +281,8 @@ def k_bound_scan(
     """Profile every primitive conjugacy class up to max_len (one Lyndon
     representative each) at exponent k (default floor(log2 max_len) + 3),
     checking the deficit bound and prefix/suffix stability at k, k+1, k+2.
-    A word that fails either check is listed in `violations`."""
+    A word that fails either check is listed in `violations`. The
+    representatives it would profile count against the word budget."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if k is None:
@@ -292,23 +291,19 @@ def k_bound_scan(
         raise ValueError("k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    classes = _lyndon_count(alphabet.size, max_len)
+    check_budget(classes, DEFAULT_WORD_BUDGET, "power scan would profile")
 
     reps = [w.letters for w in lyndon_words(alphabet, max_len)]
     tasks = [(alphabet.size, letters, k) for letters in reps]
-    deadline = Deadline()
 
-    results: list[tuple[tuple[int, ...], int | None, bool]] = []
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(_profile_rep, tasks, chunksize=32):
-                deadline.check("k_bound_scan")
-                results.append(res)
+            results = list(pool.map(_profile_rep, tasks, chunksize=32))
     else:
-        for task in tasks:
-            deadline.check("k_bound_scan")
-            results.append(_profile_rep(task))
+        results = [_profile_rep(task) for task in tasks]
 
     histogram: dict[int, int] = {}
     violations: list[Word] = []
@@ -378,27 +373,26 @@ def lyndon_suffix_check(
 ) -> bool:
     """Check, for every word w of length <= max_len, that if w is smaller
     than all of its Lyndon proper suffixes then w is itself Lyndon (i.e. its
-    nonincreasing Lyndon factorization has a single factor)."""
+    nonincreasing Lyndon factorization has a single factor). Every word up
+    to max_len counts against the word budget."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    check_word_budget("Lyndon suffix check", alphabet.size, max_len, DEFAULT_WORD_BUDGET)
     lyndon_set = frozenset(
         w.letters for w in lyndon_words(alphabet, max_len)
     )
     tasks = [(alphabet.size, length, lyndon_set) for length in range(1, max_len + 1)]
-    deadline = Deadline()
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for counterexample in pool.map(_lyndon_suffix_range, tasks):
-                deadline.check("lyndon_suffix_check")
                 if counterexample is not None:
                     return False
         return True
     for task in tasks:
-        deadline.check("lyndon_suffix_check")
         if _lyndon_suffix_range(task) is not None:
             return False
     return True

@@ -121,7 +121,6 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
     alphabet = _alphabet(args)
     word = _word(args.word, alphabet)
     policy = _policy(args)
-    variant = "phases" if args.algorithm == "naive" else None
     if args.trace:
         trace = melancon.contraction_trace(word, policy, mode="circular")
         conj = trace.conjugate
@@ -133,28 +132,9 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
             text,
         )
     else:
+        variant = "phases" if args.algorithm == "naive" else None
         conj = melancon.conjugate(word, policy, variant=variant)
         _emit(args, {"word": str(word), "conjugate": str(conj)}, str(conj))
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from . import melancon
-
-    alphabet = _alphabet(args)
-    word = _word(args.word, alphabet)
-    policy = _policy(args)
-    trace = melancon.contraction_trace(word, policy, mode="circular")
-    snapshots = [[str(b) for b in snap] for snap in trace]
-    _emit(
-        args,
-        {
-            "word": str(word),
-            "conjugate": str(trace.conjugate),
-            "snapshots": snapshots,
-        },
-        "\n".join(", ".join(snap) for snap in snapshots),
-    )
     return 0
 
 
@@ -383,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="circular contraction snapshots")
     common(p, word_arg=True)
-    p.set_defaults(func=_cmd_trace)
+    p.set_defaults(func=_cmd_conjugate, trace=True)
 
     p = sub.add_parser("enumerate", help="list members up to a length")
     common(p)

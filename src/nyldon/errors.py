@@ -31,22 +31,32 @@ class PolicyViolationError(NyldonError):
 
 
 class BudgetExceededError(NyldonError):
-    """An enumeration or scan exceeded its configured budget."""
+    """A scan would visit, or holds, more words than its budget allows."""
 
 
-# Words a scan visits, or snapshots hold, before BudgetExceededError by default.
+# The one budget: the words a scan visits or holds before it raises
+# BudgetExceededError. Every scan checks its count against it through
+# check_budget; a scan with a `budget=` parameter takes it as the default.
 DEFAULT_WORD_BUDGET = 2_000_000
+
+
+def check_budget(count: int, budget: int | None, what: str, *args) -> int:
+    """Return `count`, the words a scan visits or holds; raise
+    BudgetExceededError above `budget` (None: no limit). The message is
+    `what.format(*args)`, the count and the budget. It is formatted only on
+    the raise, so a check made once per step costs one call."""
+    if budget is not None and count > budget:
+        raise BudgetExceededError(f"{what.format(*args)} {count} words (budget {budget})")
+    return count
 
 
 def check_word_budget(
     what: str, alphabet_size: int, max_len: int, budget: int | None
 ) -> int:
     """The number of words of length 1..max_len, which a scan named `what`
-    would visit; raises BudgetExceededError above `budget` (None: no limit)."""
+    would visit, checked against `budget` before the scan starts."""
     total = sum(alphabet_size**n for n in range(1, max_len + 1))
-    if budget is not None and total > budget:
-        raise BudgetExceededError(f"{what} would visit {total} words (budget {budget})")
-    return total
+    return check_budget(total, budget, "{} would visit", what)
 
 
 class InvariantError(NyldonError):

@@ -10,10 +10,11 @@ One driver runs the procedure, over byte-encoded words (letter tuples for
 alphabets above 256 letters) with a heap and a per-length index, so that
 bounds around 20 letters complete quickly. `lazard_report` streams it and keeps
 only the removed words. `lazard_run` adds a per-step snapshot of the working
-set (under a word budget), built from the previous snapshot minus the removed
-word plus the words the driver reports as added, so each word is converted
-and hashed once. `materialize_y` replays a removal history through the same
-elimination step.
+set, built from the previous snapshot minus the removed word plus the words
+the driver reports as added, so each word is converted and hashed once.
+`materialize_y` replays a removal history through the same elimination step.
+The driver checks the words it holds against the word budget after every step
+that adds some, so all three stop at the step where a run outgrows it.
 
 The finishing step of a complete run is the first step whose removed-so-far
 words together with the working set already cover every word the run will ever
@@ -32,8 +33,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DEFAULT_WORD_BUDGET, BudgetExceededError, InvariantError
-from .errors import check_word_budget
+from .errors import DEFAULT_WORD_BUDGET, InvariantError
+from .errors import check_budget, check_word_budget
 from .words import Alphabet, Word, _unchecked_word
 
 if TYPE_CHECKING:
@@ -83,7 +84,9 @@ class CodeCheck:
         return self.ok
 
 
-def _eliminate(alphabet: Alphabet, n: int, on_step=None, history=None):
+def _eliminate(
+    alphabet: Alphabet, n: int, budget: int | None, on_step=None, history=None
+):
     """The procedure truncated at n, over `bytes` (letter tuples above 256
     letters), which compare in lex order like the words they encode.
 
@@ -94,7 +97,8 @@ def _eliminate(alphabet: Alphabet, n: int, on_step=None, history=None):
     (the letters at step 1), so a caller can follow the working set as the
     previous one minus the removed word plus `added`. Returns the removed
     words, the finishing step (the last step at which a word first appears)
-    and the final working set.
+    and the final working set. Raises BudgetExceededError once the words seen
+    (removed or present) exceed `budget`, naming the step.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -142,13 +146,17 @@ def _eliminate(alphabet: Alphabet, n: int, on_step=None, history=None):
                     added.append(ext)
         if added:
             finishing = step + 1
+            check_budget(
+                len(seen), budget, "the run truncated at {} holds, at step {},", n, step
+            )
     return chosen, finishing, current
 
 
 def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
     """Run the procedure keeping a snapshot of every step. Raises
     BudgetExceededError once the snapshots would hold more than
-    DEFAULT_WORD_BUDGET working-set words in total (binary n <= 13 fits).
+    DEFAULT_WORD_BUDGET words in total, counting each snapshot's working set
+    and its `chosen` prefix (binary n <= 13 fits).
 
     Each snapshot is the previous one minus the word removed there plus the
     words the driver added since, so each Word is built and hashed once, when
@@ -161,12 +169,9 @@ def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
 
     def snapshot(step: int, u, current: set, added: list) -> None:
         nonlocal held
-        held += len(current)
-        if held > DEFAULT_WORD_BUDGET:
-            raise BudgetExceededError(
-                f"snapshots exceed {DEFAULT_WORD_BUDGET} working-set words at "
-                f"step {step} of the run truncated at {n}"
-            )
+        held += len(current) + len(chosen)
+        what = "the snapshots of the run truncated at {} hold, at step {},"
+        check_budget(held, DEFAULT_WORD_BUDGET, what, n, step)
         if chosen:
             live.remove(chosen[-1])
         for x in added:
@@ -177,7 +182,7 @@ def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
         )
         chosen.append(words[u])
 
-    _eliminate(alphabet, n, snapshot)
+    _eliminate(alphabet, n, DEFAULT_WORD_BUDGET, snapshot)
     return states
 
 
@@ -208,7 +213,7 @@ def finishing_step(states: list[LazardState]) -> LazardReport:
 
 def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
     """Run the procedure without keeping states; fast for n up to ~20."""
-    encoded, fs, _ = _eliminate(alphabet, n)
+    encoded, fs, _ = _eliminate(alphabet, n, DEFAULT_WORD_BUDGET)
     chosen = [_unchecked_word(tuple(b), alphabet) for b in encoded]
     return _report(alphabet, n, tuple(chosen), fs)
 
@@ -244,18 +249,11 @@ def kraft_sum(state: LazardState, max_len: int) -> Fraction:
 
 
 def materialize_y(
-    state: LazardState, max_len: int, budget: int | None = 500_000
+    state: LazardState, max_len: int, budget: int | None = DEFAULT_WORD_BUDGET
 ) -> frozenset[Word]:
-    """Replay the removal history to list the working set up to max_len."""
-
-    def within_budget(step, u, current: set, added) -> None:
-        if budget is not None and len(current) > budget:
-            raise BudgetExceededError(
-                f"materialized set exceeds {budget} words at step {state.step}"
-            )
-
-    _, _, current = _eliminate(state.alphabet, max_len, within_budget, state.chosen)
-    within_budget(None, None, current, None)
+    """Replay the removal history to list the working set up to max_len; the
+    words the replay holds count against `budget`."""
+    _, _, current = _eliminate(state.alphabet, max_len, budget, history=state.chosen)
     return frozenset(Word(tuple(x), state.alphabet) for x in current)
 
 

@@ -218,16 +218,19 @@ def parse_count(
 
 
 def is_member_bruteforce(word: Word, gset: GeneratedSet) -> bool:
-    """Re-derive membership of `word` from the smaller members of `gset`."""
+    """Re-derive membership of `word` from the smaller members of `gset`.
+
+    No factor of a parse is longer than the word, and the only one as long is
+    the word itself, so the word has no parse into smaller members exactly
+    when its parses into the whole set number 1 if `gset` holds it, else 0.
+    """
     if word.alphabet != gset.alphabet:
         raise ValueError("word and generated set use different alphabets")
     if len(word) > gset.max_len:
         raise ValueError(f"word longer than the set's max_len {gset.max_len}")
-    if len(word) == 1:
-        return True
     policy = get_policy(gset.policy_id)
-    smaller = frozenset(t for t in gset.member_tuples if len(t) < len(word))
-    return parse_count(word.letters, smaller, policy.compare) == 0
+    held = word.letters in gset.member_tuples
+    return parse_count(word.letters, gset.member_tuples, policy.compare) == held
 
 
 def enumerate_members(

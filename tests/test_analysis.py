@@ -26,7 +26,6 @@ from nyldon import (
     rotation_parse,
     sn_ka_check,
 )
-from nyldon.analysis import Deadline
 from nyldon.words import is_primitive
 
 
@@ -280,15 +279,3 @@ def test_lyndon_suffix_check_small():
     assert lyndon_suffix_check(BINARY, 10)
     assert lyndon_suffix_check(TERNARY, 6)
     assert lyndon_suffix_check(BINARY, 8, jobs=2)
-
-
-def test_deadline_env(monkeypatch):
-    import time
-
-    monkeypatch.setenv("NYLDON_BUDGET_MS", "1")
-    deadline = Deadline()
-    time.sleep(0.01)
-    with pytest.raises(BudgetExceededError):
-        deadline.check("test stage")
-    monkeypatch.delenv("NYLDON_BUDGET_MS")
-    Deadline().check("unbounded is fine")

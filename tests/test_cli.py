@@ -150,6 +150,13 @@ def test_conjugate_and_trace(capsys):
     assert lines[-1] == "10110101011000"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_trace_prints_what_conjugate_trace_prints(capsys, json_flag):
+    for word in ("10001011010101", "0011011", "1010"):
+        traced = run_cli(capsys, "trace", word, *json_flag)
+        assert traced == run_cli(capsys, "conjugate", word, "--trace", *json_flag)
+
+
 def test_conjugate_imprimitive_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "conjugate", "1010")
     assert code == 1
@@ -355,6 +362,21 @@ def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, max_len, message",
+    [
+        ("lyndon-check", "21", "Lyndon suffix check would visit 4194302 words"),
+        ("power-scan", "25", "power scan would profile 2807196 words"),
+    ],
+)
+def test_scans_over_the_word_budget_are_one_line_domain_errors(
+    capsys, command, max_len, message
+):
+    code, out, err = run_cli(capsys, command, "--max-len", max_len)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message} (budget 2000000)\n"
 
 
 def test_bad_policy_for_fast_algorithm(capsys):

@@ -1,0 +1,142 @@
+"""The one word budget on every scan, and rules the whole source tree keeps."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from nyldon import (
+    BINARY,
+    BudgetExceededError,
+    Word,
+    analysis,
+    circular_code_check,
+    enumerate_nyldon,
+    k_bound_scan,
+    lazard,
+    lazard_report,
+    lazard_run,
+    lyndon_suffix_check,
+    materialize_y,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nyldon"
+
+
+def _code5():
+    return [w for w in enumerate_nyldon(BINARY, 5).words() if len(w) == 5]
+
+
+# (scan, budget constant patched into lazard or None, message)
+CASES = [
+    (
+        lambda: lyndon_suffix_check(BINARY, 21),
+        None,
+        "Lyndon suffix check would visit 4194302 words (budget 2000000)",
+    ),
+    (
+        lambda: k_bound_scan(BINARY, 25),
+        None,
+        "power scan would profile 2807196 words (budget 2000000)",
+    ),
+    (
+        lambda: circular_code_check(_code5(), 9),
+        None,
+        "circular check would concatenate 106420470 words (budget 2000000)",
+    ),
+    (
+        # one codeword: few sequences, but the last is a million blocks long
+        lambda: circular_code_check([Word.parse("10")], 1_000_000),
+        None,
+        "circular check would concatenate 500000500000 words (budget 2000000)",
+    ),
+    (
+        lambda: lazard_report(BINARY, 10),
+        100,
+        "the run truncated at 10 holds, at step 4, 127 words (budget 100)",
+    ),
+    (
+        lambda: lazard_run(BINARY, 10),
+        100,
+        "the snapshots of the run truncated at 10 hold, at step 4, 153 words (budget 100)",
+    ),
+    (
+        # the default is bound when the function is defined, so the replay
+        # takes the low budget through its parameter
+        lambda: materialize_y(lazard_run(BINARY, 10)[20], 10, budget=100),
+        None,
+        "the run truncated at 10 holds, at step 4, 127 words (budget 100)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "scan, low, message",
+    CASES,
+    ids=[
+        "lyndon_suffix",
+        "k_bound",
+        "circular",
+        "circular_one_word",
+        "report",
+        "run",
+        "materialize",
+    ],
+)
+def test_every_scan_stops_at_the_word_budget(monkeypatch, scan, low, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused scan started its work")
+
+    # the analysis scans refuse before they enumerate anything
+    monkeypatch.setattr(analysis, "lyndon_words", no_work)
+    monkeypatch.setattr(analysis, "product", no_work)
+    if low is not None:
+        monkeypatch.setattr(lazard, "DEFAULT_WORD_BUDGET", low)
+    with pytest.raises(BudgetExceededError) as info:
+        scan()
+    assert str(info.value) == message
+
+
+class Started(Exception):
+    pass
+
+
+def test_scans_under_the_word_budget_start(monkeypatch):
+    def started(*args, **kwargs):
+        raise Started
+
+    # binary 24 has 1 465 020 Lyndon representatives to profile
+    monkeypatch.setattr(analysis, "lyndon_words", started)
+    with pytest.raises(Started):
+        k_bound_scan(BINARY, 24)
+    # a code of one-letter words has no rotation to test, at any block count
+    assert circular_code_check([Word.parse("0"), Word.parse("1")], 10**6).is_circular
+
+
+ENV_READS = ("environ", "getenv")
+
+
+def _source_trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_source_has_no_assert_environ_read_or_stray_budget_raise():
+    # Checks must survive `python -O`, behaviour must not hang on the
+    # environment, and every budget is checked through errors.check_budget.
+    found = []
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                found.append(f"{name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Attribute) and node.attr in ENV_READS:
+                found.append(f"{name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                for alias in node.names:
+                    if alias.name in ENV_READS:
+                        found.append(f"{name}:{node.lineno}: {alias.name}")
+            elif isinstance(node, ast.Raise) and name != "errors.py":
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "BudgetExceededError":
+                    found.append(f"{name}:{node.lineno}: raise BudgetExceededError")
+    assert found == []

@@ -21,7 +21,7 @@ from nyldon import (
 from nyldon.hallsets import FactorizationCheck, validate_nyldon_like
 from nyldon.hallsets import verify_factorization_property
 from nyldon.order import OrderPolicy, register_policy
-from nyldon.words import is_lyndon
+from nyldon.words import is_lyndon, words_up_to
 
 
 def _colex(u, v):
@@ -47,6 +47,9 @@ def test_lex_set_matches_oracle(policy, alphabet, top):
         gset = generate(policy, alphabet, n, validate=False)
         expected = oracle.enumerate_members(alphabet, n, policy)
         assert gset.member_tuples == expected.member_tuples, n
+    # re-deriving membership from the smaller members agrees on every word
+    for word in words_up_to(alphabet, top):
+        assert oracle.is_member_bruteforce(word, gset) == (word in gset), word
 
 
 def test_wrong_conjugate_is_caught_by_cross_check(monkeypatch):

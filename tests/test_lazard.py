@@ -81,9 +81,10 @@ def test_every_snapshot_matches_a_replay_of_its_history():
 def test_snapshots_stop_at_the_word_budget():
     with pytest.raises(BudgetExceededError) as excinfo:
         lazard_run(BINARY, 14)
+    # each snapshot holds its working set and its `chosen` prefix
     assert str(excinfo.value) == (
-        f"snapshots exceed {DEFAULT_WORD_BUDGET} working-set words "
-        "at step 2025 of the run truncated at 14"
+        "the snapshots of the run truncated at 14 hold, at step 1203, 2002133 "
+        f"words (budget {DEFAULT_WORD_BUDGET})"
     )
     assert lazard_report(BINARY, 14).total_steps == 2538
 

@@ -48,7 +48,6 @@ PolicyViolationError on failure.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import count as _fresh
 
@@ -94,14 +93,20 @@ _ENGINE_MIN = 64
 # letters) and the CLI's short words fall below it.
 _PHASE_MAX = 32
 
+# The policies the bounded comparator serves, with the sign of its result:
+# rlex is lex reversed. Any other id (a custom order, CountingPolicy) compares
+# slices through its policy.
+_ENGINE_SIGN = {"lex": 1, "rlex": -1}
+
 
 def _range_comparator(base: tuple[int, ...], policy: OrderPolicy):
     """Three-way compare of (start, length) ranges of `base` under the policy."""
-    if policy.id == "lex" and len(base) >= _ENGINE_MIN:
+    sign = _ENGINE_SIGN.get(policy.id)
+    if sign is not None and len(base) >= _ENGINE_MIN:
         engine_compare = ComparisonEngine(base).compare
 
         def compare(s1: int, l1: int, s2: int, l2: int) -> int:
-            return engine_compare(s1, s1 + l1, s2, s2 + l2)
+            return sign * engine_compare(s1, s1 + l1, s2, s2 + l2)
 
         return compare
 
@@ -113,14 +118,35 @@ def _range_comparator(base: tuple[int, ...], policy: OrderPolicy):
     return compare
 
 
-@dataclass
 class ContractionTrace:
-    """Chain snapshots, one per phase; indexable like a plain list."""
+    """Chain snapshots, one per phase; indexable like a plain list.
 
-    mode: str  # "circular" or "linear"
-    snapshots: list[list[Word]]
-    conjugate: Word | None = None
-    factorization: Factorization | None = None
+    `mode` is "circular" or "linear"; a circular trace carries its
+    `conjugate`, a linear one its `factorization`.
+    """
+
+    def __init__(
+        self,
+        mode: str,
+        snapshots: list[list[Word]],
+        conjugate: Word | None = None,
+        factorization: Factorization | None = None,
+    ):
+        self.mode = mode
+        self.snapshots = snapshots
+        self.conjugate = conjugate
+        self.factorization = factorization
+
+    def __repr__(self) -> str:
+        return (
+            f"ContractionTrace(mode={self.mode!r}, snapshots={self.snapshots!r}, "
+            f"conjugate={self.conjugate!r}, factorization={self.factorization!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     def __len__(self) -> int:
         return len(self.snapshots)

@@ -9,22 +9,59 @@ comparison implements exactly this order, which the Word dunders lean on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import Iterator
 
 from .errors import AlphabetMismatchError
 
 
-@dataclass(frozen=True, slots=True)
-class Alphabet:
+class _Frozen:
+    """Immutability and pickling for the value classes below, whose
+    `__slots__` name their fields in constructor order. The classes are
+    written out by hand because generating them at import (and importing the
+    generator) cost each CLI process more than the stack factorizer does."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        # Only pickles from before these classes were written by hand carry
+        # a state: a list of field values, or a dict for Factorization.
+        if isinstance(state, dict):
+            state = [state[name] for name in self.__slots__]
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class Alphabet(_Frozen):
     """A totally ordered alphabet of `size` letters, coded 0..size-1."""
 
+    __slots__ = ("size",)
     size: int
 
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.size}")
+    def __init__(self, size: int):
+        if size < 2:
+            raise ValueError(f"alphabet size must be >= 2, got {size}")
+        object.__setattr__(self, "size", size)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(size={self.size!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.size == other.size
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.size,))
 
     def letters(self) -> list[Word]:
         return [Word((c,), self) for c in range(self.size)]
@@ -55,22 +92,32 @@ TERNARY = Alphabet(3)
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(_Frozen):
     """A nonempty immutable word; ordered lexicographically within its alphabet."""
 
+    __slots__ = ("letters", "alphabet")
     letters: tuple[int, ...]
-    alphabet: Alphabet = field(default=BINARY)
+    alphabet: Alphabet
 
-    def __post_init__(self):
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        if len(self.letters) == 0:
+    def __init__(self, letters: tuple[int, ...], alphabet: Alphabet = BINARY):
+        if not isinstance(letters, tuple):
+            letters = tuple(letters)
+        if not letters:
             raise ValueError("words are nonempty")
-        size = self.alphabet.size
-        for c in self.letters:
+        size = alphabet.size
+        for c in letters:
             if not 0 <= c < size:
                 raise ValueError(f"letter {c} out of range for alphabet of size {size}")
+        _set_letters(self, letters)
+        _set_alphabet(self, alphabet)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters, self.alphabet) == (other.letters, other.alphabet)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.alphabet))
 
     @classmethod
     def parse(cls, text: str, alphabet: Alphabet = BINARY) -> Word:
@@ -129,7 +176,7 @@ _set_alphabet = Word.__dict__["alphabet"].__set__
 
 
 def _unchecked_word(letters: tuple[int, ...], alphabet: Alphabet) -> Word:
-    """A Word without `__post_init__`'s checks, for a nonempty letter tuple
+    """A Word without the constructor's checks, for a nonempty letter tuple
     already known to lie in the alphabet (a slice of a checked Word, say)."""
     w = object.__new__(Word)
     _set_letters(w, letters)
@@ -145,27 +192,49 @@ def lex_compare(u: Word, v: Word) -> int:
     return -1 if u.letters < v.letters else 1
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Frozen):
     """A tuple of factors plus the order they are claimed to satisfy.
 
     `order_witness` is "<policy>:<direction>", e.g. "lex:nondecreasing" for
     stack factorizations or "lex:nonincreasing" for Chen-Fox-Lyndon.
     """
 
+    __slots__ = ("factors", "order_witness")
     factors: tuple[Word, ...]
-    order_witness: str = "lex:nondecreasing"
+    order_witness: str
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(
+        self, factors: tuple[Word, ...], order_witness: str = "lex:nondecreasing"
+    ):
+        if not factors:
             raise ValueError("a factorization has at least one factor")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "order_witness", order_witness)
+
+    def __repr__(self) -> str:
+        return (
+            f"Factorization(factors={self.factors!r}, "
+            f"order_witness={self.order_witness!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factors, self.order_witness) == (
+                other.factors,
+                other.order_witness,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors, self.order_witness))
 
     @property
     def word(self) -> Word:
-        joined = self.factors[0]
-        for f in self.factors[1:]:
-            joined = joined + f
-        return joined
+        first = self.factors[0]
+        for f in self.factors:
+            first._check_same_alphabet(f)
+        letters = itertools.chain.from_iterable(f.letters for f in self.factors)
+        return _unchecked_word(tuple(letters), first.alphabet)
 
     def __len__(self) -> int:
         return len(self.factors)

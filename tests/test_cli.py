@@ -66,13 +66,27 @@ def test_lazard_import_loads_no_oracle():
     assert "nyldon.oracle" not in _loaded_after("import nyldon.lazard")
 
 
-def test_default_factor_loads_only_the_stack_factorizer():
+def _imported_by(*argv: str) -> tuple[str, set[str]]:
+    """Stdout of a fresh `nyldon` process and the modules it imported."""
     # -X importtime lists every module the process imports on stderr
-    result = _fresh("-X", "importtime", "-m", "nyldon.cli", "factor", "0110")
-    assert result.stdout == "0 1 10\n"
+    result = _fresh("-X", "importtime", "-m", "nyldon.cli", *argv)
     loaded = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    return result.stdout, loaded
+
+
+def test_default_factor_loads_only_the_stack_factorizer():
+    out, loaded = _imported_by("factor", "0110")
+    assert out == "0 1 10\n"
     assert "nyldon.fastfactor" in loaded
     assert "nyldon.melancon" not in loaded
+
+
+@pytest.mark.parametrize("command", ["factor", "is-member", "conjugate", "trace"])
+def test_word_commands_load_no_class_generator(command):
+    # dataclasses and the inspect it loads cost more than the work itself
+    _, loaded = _imported_by(command, "0110")
+    assert "nyldon.words" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_version_loads_no_submodule():

@@ -23,7 +23,7 @@ from nyldon import (
     nyldon_factorize,
     words_up_to,
 )
-from nyldon.melancon import _PHASE_MAX
+from nyldon.melancon import _ENGINE_MIN, _PHASE_MAX
 from nyldon.order import CountingPolicy
 from nyldon.words import is_lyndon, is_primitive
 
@@ -168,6 +168,26 @@ def test_rlex_policy_yields_lyndon_conjugates():
             assert got == rep  # the Lyndon rotation is lex-least, FKM emits it
 
 
+@settings(max_examples=60)
+@given(
+    st.integers(2, 3), st.integers(_ENGINE_MIN // 2 - 2, _ENGINE_MIN + 2), st.data()
+)
+def test_bounded_comparator_matches_policy_slices(k, n, data):
+    # Bases of _ENGINE_MIN letters or more (the doubled word, for conjugate)
+    # compare through the bounded comparator under lex and rlex; a
+    # CountingPolicy always compares slices through its base policy. The
+    # lengths put both bases on both sides of the cutoff.
+    letters = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    w = Word(tuple(letters), Alphabet(k))
+    for policy in (LEX, RLEX):
+        sliced = CountingPolicy(policy)
+        assert factorize(w, policy).factors == factorize(w, sliced).factors
+        if is_primitive(w):
+            assert conjugate(w, policy) == conjugate(w, sliced)
+    if is_primitive(w):
+        assert conjugate(w, RLEX) == min(conjugates(w))  # the Lyndon rotation
+
+
 def test_circular_trace_matches_reference():
     tr = contraction_trace(Word.parse("10001011010101"), LEX, mode="circular")
     assert tr.mode == "circular"
@@ -205,3 +225,10 @@ def test_trace_sequence_protocol():
     tr = contraction_trace(Word.parse("100"), LEX, mode="circular")
     assert len(tr) == len(tr.snapshots)
     assert list(iter(tr)) == list(tr.snapshots)
+    assert tr == contraction_trace(Word.parse("100"), LEX, mode="circular")
+    assert tr != contraction_trace(Word.parse("100"), LEX, mode="linear")
+    assert repr(tr) == (
+        "ContractionTrace(mode='circular', snapshots=[[Word('1', size=2), "
+        "Word('0', size=2), Word('0', size=2)], [Word('100', size=2)]], "
+        "conjugate=Word('100', size=2), factorization=None)"
+    )

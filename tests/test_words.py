@@ -1,5 +1,8 @@
 """Word primitives: parsing, order, periods, conjugates, Lyndon tools."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from nyldon import (
     is_lyndon,
     is_primitive,
     lyndon_words,
+    nyldon_factorize,
     words_up_to,
 )
 from nyldon.words import (
@@ -74,8 +78,12 @@ def test_concat_power_slice_rotate():
 def test_alphabet_mismatch():
     with pytest.raises(AlphabetMismatchError):
         Word.parse("1") + Word.parse("1", TERNARY)
+    for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+        with pytest.raises(AlphabetMismatchError):
+            getattr(Word.parse("1"), compare)(Word.parse("1", TERNARY))
     with pytest.raises(AlphabetMismatchError):
-        Word.parse("1") < Word.parse("1", TERNARY)
+        lex_compare(Word.parse("1"), Word.parse("1", TERNARY))
+    assert Word.parse("1") != Word.parse("1", TERNARY)
 
 
 def test_prefix_sorts_before_extension():
@@ -147,3 +155,104 @@ def test_factorization_verify():
     assert not bad.verify()
     with pytest.raises(ValueError):
         Factorization(())
+
+
+def test_factorization_word_checks_every_alphabet():
+    mixed = Factorization((Word.parse("1"), Word.parse("0"), Word.parse("2", TERNARY)))
+    with pytest.raises(AlphabetMismatchError):
+        mixed.word
+
+
+def test_factorization_word_is_linear_in_the_factors():
+    # 0^k 1 has n one-letter factors; joining them one `+` at a time took 7 s
+    # at n = 2 * 10^4
+    source = Word((0,) * (10**5 - 1) + (1,), BINARY)
+    fact = nyldon_factorize(source)
+    assert len(fact) == 10**5
+    assert fact.word == source and fact.verify(source)
+
+
+# The value contract of Alphabet, Word and Factorization: repr, equality,
+# hashing, immutability, copying and pickling.
+FACTORIZATION = Factorization((Word.parse("1000"), Word.parse("1011010101")))
+VALUES = [
+    (Alphabet(12), "size"),
+    (Word.parse("10011"), "letters"),
+    (FACTORIZATION, "factors"),
+]
+VALUE_IDS = ["Alphabet", "Word", "Factorization"]
+
+
+def test_value_reprs():
+    assert repr(Alphabet(12)) == "Alphabet(size=12)"
+    assert repr(Word.parse("10011")) == "Word('10011', size=2)"
+    assert repr(Word.parse("11,0,3", Alphabet(12))) == "Word('11,0,3', size=12)"
+    assert repr(FACTORIZATION) == (
+        "Factorization(factors=(Word('1000', size=2), Word('1011010101', size=2)),"
+        " order_witness='lex:nondecreasing')"
+    )
+
+
+@given(letters_st, letters_st)
+def test_equal_words_hash_equal(s, t):
+    u, v = Word(s, BINARY), Word(t, BINARY)
+    assert (u == v) == (s == t) and (u != v) == (s != t)
+    if u == v:
+        assert hash(u) == hash(v) and {u: 1}[v] == 1
+
+
+@pytest.mark.parametrize("value, field", VALUES, ids=VALUE_IDS)
+def test_values_are_frozen(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("value", [value for value, _ in VALUES], ids=VALUE_IDS)
+def test_values_copy_and_pickle(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(value, protocol))
+        assert clone == value and hash(clone) == hash(value), protocol
+    for clone in (copy.copy(value), copy.deepcopy(value)):
+        assert clone == value and type(clone) is type(value)
+
+
+def test_pickles_of_the_dataclass_versions_load():
+    # protocol 4 pickles of Alphabet(12), Word.parse("10011") and
+    # FACTORIZATION, written while the three classes were dataclasses
+    old = [
+        b"\x80\x04\x95&\x00\x00\x00\x00\x00\x00\x00\x8c\x0cnyldon.words\x94\x8c\x08Alphabet"
+        b"\x94\x93\x94)\x81\x94]\x94K\x0cab.",
+        b"\x80\x04\x95F\x00\x00\x00\x00\x00\x00\x00\x8c\x0cnyldon.words\x94\x8c\x04Word\x94"
+        b"\x93\x94)\x81\x94]\x94((K\x01K\x00K\x00K\x01K\x01t\x94h\x00\x8c\x08Alphabet\x94"
+        b"\x93\x94)\x81\x94]\x94K\x02abeb.",
+        b"\x80\x04\x95\xb3\x00\x00\x00\x00\x00\x00\x00\x8c\x0cnyldon.words\x94\x8c\rFactori"
+        b"zation\x94\x93\x94)\x81\x94}\x94(\x8c\x07factors\x94h\x00\x8c\x04Word\x94\x93\x94)"
+        b"\x81\x94]\x94((K\x01K\x00K\x00K\x00t\x94h\x00\x8c\x08Alphabet\x94\x93\x94)\x81"
+        b"\x94]\x94K\x02abebh\x07)\x81\x94]\x94((K\x01K\x00K\x01K\x01K\x00K\x01K\x00K\x01"
+        b"K\x00K\x01t\x94h\reb\x86\x94\x8c\rorder_witness\x94\x8c\x11lex:nondecreasing\x94ub.",
+    ]
+    assert [pickle.loads(data) for data in old] == [value for value, _ in VALUES]
+
+
+def test_keyword_construction():
+    ternary = Alphabet(size=3)
+    w = Word(letters=[2, 0], alphabet=ternary)
+    assert w == Word((2, 0), TERNARY) and w.letters == (2, 0)
+    assert Word(letters=(1,)).alphabet == BINARY
+    f = Factorization(factors=(w,), order_witness="lex:nonincreasing")
+    assert f == Factorization((w,), "lex:nonincreasing")
+    assert f != Factorization((w,))
+
+
+def test_values_equal_only_their_own_class():
+    w = Word.parse("10")
+    assert w != (1, 0) and not w == (1, 0) and w != "10"
+    assert Alphabet(2) != 2 and FACTORIZATION != FACTORIZATION.factors
+    for value, _ in VALUES:
+        assert type(value).__eq__(value, object()) is NotImplemented

@@ -4,9 +4,9 @@ Subcommands: factor, is-member, conjugate, trace, enumerate, verify-hall,
 lazard, circular-check, power-scan, lyndon-check, selftest, bench.
 
 Exit codes: 0 on success, 1 on domain errors (periodic input, order-policy
-violations, budget caps) with a one-line ``error: ...`` diagnostic on stderr,
-2 on usage errors (unknown flags or policies, malformed words, out-of-range
-values).
+violations, budget caps) and on a stdout closed before the output was written,
+with a one-line ``error: ...`` diagnostic on stderr, 2 on usage errors
+(unknown flags or policies, malformed words, out-of-range values).
 """
 
 from __future__ import annotations
@@ -429,7 +429,18 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(argv)
+    try:
+        code = run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        import os
+
+        # Point stdout at devnull so the interpreter's exit flush of what is
+        # still buffered does not fail again (the `signal` module docs' recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ the working set is reduced to a single word.
 One driver runs the procedure, over byte-encoded words (letter tuples for
 alphabets above 256 letters) with a heap and a per-length index, so that
 bounds around 20 letters complete quickly. `lazard_report` streams it and keeps
-only the removed words. `lazard_run` adds a per-step snapshot of the working
+only the removed words, encoded as `_eliminate` holds them; its `chosen` Words
+are built on the first read, so a caller that needs only the summary builds
+one Word, the stop word. `lazard_run` adds a per-step snapshot of the working
 set, built from the previous snapshot minus the removed word plus the words
 the driver reports as added, so each word is converted and hashed once.
 `materialize_y` replays a removal history through the same elimination step.
@@ -30,7 +32,8 @@ import bisect
 import heapq
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_WORD_BUDGET, InvariantError
@@ -61,7 +64,20 @@ class LazardReport:
     finishing_step: int
     stop_word: Word | None
     words_after_stop: int
-    chosen: tuple[Word, ...]  # every removed word, in removal order
+    # every removed word in removal order, encoded as `_eliminate` holds it
+    encoded: tuple = field(repr=False)
+
+    @cached_property
+    def chosen(self) -> tuple[Word, ...]:
+        """Every removed word, in removal order; built on the first read."""
+        return tuple(_unchecked_word(tuple(x), self.alphabet) for x in self.encoded)
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles from before `encoded` existed hold only the `chosen` words.
+        if "encoded" not in state:
+            encode = _encoder(state["alphabet"])
+            state = dict(state, encoded=tuple(encode(w.letters) for w in state["chosen"]))
+        self.__dict__.update(state)
 
     def to_dict(self) -> dict:
         return {
@@ -84,11 +100,16 @@ class CodeCheck:
         return self.ok
 
 
+def _encoder(alphabet: Alphabet):
+    """How `_eliminate` encodes a letter tuple: `bytes`, or the tuple itself
+    above 256 letters. Both compare in lex order like the words they encode."""
+    return bytes if alphabet.size <= 256 else tuple
+
+
 def _eliminate(
     alphabet: Alphabet, n: int, budget: int | None, on_step=None, history=None
 ):
-    """The procedure truncated at n, over `bytes` (letter tuples above 256
-    letters), which compare in lex order like the words they encode.
+    """The procedure truncated at n, over words encoded by `_encoder`.
 
     Each step removes the least word u of the working set, or the next word
     of `history` up to length n when one is given, then adds every x u^j
@@ -102,7 +123,7 @@ def _eliminate(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    encode = bytes if alphabet.size <= 256 else tuple
+    encode = _encoder(alphabet)
     current = {encode((c,)) for c in range(alphabet.size)}
     seen, heap = set(current), sorted(current)
     by_len: dict[int, set] = defaultdict(set, {1: set(current)})
@@ -186,10 +207,11 @@ def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
     return states
 
 
-def _report(alphabet: Alphabet, n: int, chosen: tuple[Word, ...], fs: int) -> LazardReport:
-    """The summary of a complete run with these removed words and finishing step."""
-    stop = chosen[fs - 2] if fs >= 2 else None
-    return LazardReport(alphabet, n, len(chosen), fs, stop, len(chosen) - (fs - 1), chosen)
+def _report(alphabet: Alphabet, n: int, encoded: tuple, fs: int) -> LazardReport:
+    """The summary of a complete run with these encoded removed words and
+    finishing step. Only the stop word is built as a Word here."""
+    stop = _unchecked_word(tuple(encoded[fs - 2]), alphabet) if fs >= 2 else None
+    return LazardReport(alphabet, n, len(encoded), fs, stop, len(encoded) - (fs - 1), encoded)
 
 
 def finishing_step(states: list[LazardState]) -> LazardReport:
@@ -208,14 +230,14 @@ def finishing_step(states: list[LazardState]) -> LazardReport:
         raise InvariantError("a complete run must cover its own output")
     # coverage never goes away once reached, so the least covering step bisects
     fs = states[bisect.bisect_left(states, True, key=covers)].step
-    return _report(last.alphabet, last.n, chosen, fs)
+    encode = _encoder(last.alphabet)
+    return _report(last.alphabet, last.n, tuple(encode(w.letters) for w in chosen), fs)
 
 
 def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
     """Run the procedure without keeping states; fast for n up to ~20."""
     encoded, fs, _ = _eliminate(alphabet, n, DEFAULT_WORD_BUDGET)
-    chosen = [_unchecked_word(tuple(b), alphabet) for b in encoded]
-    return _report(alphabet, n, tuple(chosen), fs)
+    return _report(alphabet, n, tuple(encoded), fs)
 
 
 def kraft_counts(state: LazardState, max_len: int) -> list[int]:
@@ -254,7 +276,7 @@ def materialize_y(
     """Replay the removal history to list the working set up to max_len; the
     words the replay holds count against `budget`."""
     _, _, current = _eliminate(state.alphabet, max_len, budget, history=state.chosen)
-    return frozenset(Word(tuple(x), state.alphabet) for x in current)
+    return frozenset(_unchecked_word(tuple(x), state.alphabet) for x in current)
 
 
 def code_check(

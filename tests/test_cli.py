@@ -24,12 +24,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _src_env() -> dict:
+    """The environment for a fresh interpreter on this checkout's src."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def _fresh(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on this checkout's src."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *args], env=_src_env(), capture_output=True, text=True, check=True
     )
 
 
@@ -288,6 +291,24 @@ def test_lazard_json(capsys):
     assert payload["stop_word"] == "10"
     assert len(payload["trace"]) == 14
     assert payload["trace"][2]["chosen"] == "10"
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_closed_stdout_is_a_one_line_error(flags):
+    # the trace (about 2.5 MB) outgrows a pipe buffer, so the write fails
+    # once the reader has closed its end after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nyldon.cli", "lazard", "--max-len", "12", "--trace", *flags],
+        env=_src_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_circular_check(capsys):

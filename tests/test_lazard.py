@@ -1,5 +1,6 @@
 """Elimination procedure: reference table, reports, code sums, predictions."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from nyldon import (
     enumerate_nyldon,
     finishing_step,
     kraft_sum,
+    lazard,
     lazard_code_check,
     lazard_report,
     lazard_run,
@@ -47,15 +49,70 @@ def test_chosen_words_are_sorted_members(binary10, ternary6):
 
 
 def test_report_agrees_with_state_replay():
-    for n in range(1, 13):
-        states = lazard_run(BINARY, n)
-        from_states = finishing_step(states)
-        streamed = lazard_report(BINARY, n)
-        assert from_states.finishing_step == streamed.finishing_step
-        assert from_states.stop_word == streamed.stop_word
-        assert from_states.words_after_stop == streamed.words_after_stop
-        assert from_states.total_steps == streamed.total_steps
-        assert from_states.chosen == streamed.chosen
+    # the two reports are equal as values: each holds its own encoding
+    for alphabet, lengths in ((BINARY, range(1, 14)), (TERNARY, range(1, 9))):
+        for n in lengths:
+            from_states = finishing_step(lazard_run(alphabet, n))
+            streamed = lazard_report(alphabet, n)
+            assert from_states == streamed
+            assert hash(from_states) == hash(streamed)
+            assert from_states.chosen == streamed.chosen
+
+
+def test_chosen_is_a_tuple_of_the_sorted_members(binary10):
+    report = lazard_report(BINARY, 10)
+    chosen = report.chosen
+    assert type(chosen) is tuple
+    assert all(type(w) is Word for w in chosen)
+    assert list(chosen) == sorted(binary10.words())
+    assert report.chosen is chosen  # built once, on the first read
+
+
+def test_report_builds_only_the_stop_word_until_chosen_is_read(monkeypatch):
+    built = []
+    unchecked = lazard._unchecked_word
+
+    def counted(letters, alphabet):
+        built.append(letters)
+        return unchecked(letters, alphabet)
+
+    monkeypatch.setattr(lazard, "_unchecked_word", counted)
+    report = lazard_report(BINARY, 14)
+    assert built == [report.stop_word.letters]
+    assert len(report.chosen) == report.total_steps == 2538
+
+
+def test_report_repr_leaves_out_the_removed_words():
+    assert repr(lazard_report(BINARY, 5)) == (
+        "LazardReport(alphabet=Alphabet(size=2), n=5, total_steps=14, "
+        "finishing_step=4, stop_word=Word('10', size=2), words_after_stop=11)"
+    )
+
+
+def test_report_pickles_round_trip():
+    report = lazard_report(BINARY, 10)
+    for _ in range(2):  # before and after `chosen` is read
+        back = pickle.loads(pickle.dumps(report))
+        assert back == report
+        assert back.chosen == report.chosen
+
+
+def test_pickles_of_the_report_with_stored_words_load():
+    # a protocol 4 pickle of lazard_report(BINARY, 3), written while the
+    # report stored `chosen` as a field
+    old = (
+        b"\x80\x04\x95\xfe\x00\x00\x00\x00\x00\x00\x00\x8c\rnyldon.lazard\x94\x8c\x0cLazardRep"
+        b"ort\x94\x93\x94)\x81\x94}\x94(\x8c\x08alphabet\x94\x8c\x0cnyldon.words\x94\x8c\x08Al"
+        b"phabet\x94\x93\x94K\x02\x85\x94R\x94\x8c\x01n\x94K\x03\x8c\x0btotal_steps\x94K\x05"
+        b"\x8c\x0efinishing_step\x94K\x03\x8c\tstop_word\x94h\x06\x8c\x04Word\x94\x93\x94K\x01"
+        b"\x85\x94h\n\x86\x94R\x94\x8c\x10words_after_stop\x94K\x03\x8c\x06chosen\x94(h\x10K\x00"
+        b"\x85\x94h\n\x86\x94R\x94h\x13h\x10K\x01K\x00\x86\x94h\n\x86\x94R\x94h\x10K\x01K\x00"
+        b"K\x00\x87\x94h\n\x86\x94R\x94h\x10K\x01K\x00K\x01\x87\x94h\n\x86\x94R\x94t\x94ub."
+    )
+    loaded = pickle.loads(old)
+    report = lazard_report(BINARY, 3)
+    assert loaded == report and hash(loaded) == hash(report)
+    assert loaded.chosen == report.chosen
 
 
 def test_snapshot_length_counts_match_kraft_counts():
@@ -76,6 +133,13 @@ def test_every_snapshot_matches_a_replay_of_its_history():
         for n in lengths:
             for st in lazard_run(alphabet, n):
                 assert st.current == materialize_y(st, n)
+
+
+def test_replayed_words_equal_the_checked_build():
+    # materialize_y builds its Words without the per-letter range check
+    for st in lazard_run(BINARY, 10):
+        _, _, current = lazard._eliminate(BINARY, 10, None, history=st.chosen)
+        assert materialize_y(st, 10) == frozenset(Word(tuple(x), BINARY) for x in current)
 
 
 def test_snapshots_stop_at_the_word_budget():

@@ -4,8 +4,8 @@ Subcommands: factor, is-member, conjugate, trace, enumerate, verify-hall,
 lazard, circular-check, power-scan, lyndon-check, selftest, bench.
 
 Exit codes: 0 on success, 1 on domain errors (periodic input, order-policy
-violations, budget caps) and on a stdout closed before the output was written,
-with a one-line ``error: ...`` diagnostic on stderr, 2 on usage errors
+violations, budget caps) and on a failed write to stdout (a closed pipe, a
+full disk), with a one-line ``error: ...`` diagnostic on stderr, 2 on usage errors
 (unknown flags or policies, malformed words, out-of-range values).
 """
 
@@ -37,13 +37,26 @@ def _policy(args: argparse.Namespace) -> OrderPolicy:
         raise ValueError(exc.args[0]) from None
 
 
+class _StdoutError(Exception):
+    """A write to stdout failed with the OSError in args[0]."""
+
+
+def _print(text: str) -> None:
+    """print() to stdout. A failed write raises _StdoutError, which `main`
+    turns into one error line; any other OSError keeps its traceback."""
+    try:
+        print(text)
+    except OSError as exc:
+        raise _StdoutError(exc) from None
+
+
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
         import json
 
-        print(json.dumps(payload, indent=2))
+        _print(json.dumps(payload, indent=2))
     else:
-        print(text)
+        _print(text)
 
 
 def _run_engine(
@@ -285,13 +298,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
     for res in results:
         line = acceptance.format_result(res)
-        print(line)
+        _print(line)
         if not res.ok:
             failures += 1
     if args.json:
         import json
 
-        print(json.dumps([res.to_dict() for res in results], indent=2))
+        _print(json.dumps([res.to_dict() for res in results], indent=2))
     return 0 if failures == 0 else 1
 
 
@@ -303,7 +316,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     alphabet = _alphabet(args)
     rng = random.Random(0xBE7C)
-    print("n,algorithm,comparisons,nanos")
+    _print("n,algorithm,comparisons,nanos")
     n = 64
     while n <= args.max_len:
         letters = tuple(rng.randrange(alphabet.size) for _ in range(n))
@@ -317,7 +330,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 melancon.factorize(word, counted)
                 comparisons = counted.calls
             nanos = time.perf_counter_ns() - start
-            print(f"{n},{algorithm},{comparisons},{nanos}")
+            _print(f"{n},{algorithm},{comparisons},{nanos}")
         n *= 2
     return 0
 
@@ -431,15 +444,23 @@ def run(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         code = run(argv)
-        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        try:
+            sys.stdout.flush()  # a short output's failed write shows here
+        except OSError as exc:
+            raise _StdoutError(exc) from None
         return code
-    except BrokenPipeError:
+    except _StdoutError as failure:
         import os
 
         # Point stdout at devnull so the interpreter's exit flush of what is
         # still buffered does not fail again (the `signal` module docs' recipe).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written", file=sys.stderr)
+        exc = failure.args[0]
+        if isinstance(exc, BrokenPipeError):
+            reason = "stdout was closed before the output was written"
+        else:
+            reason = f"cannot write to stdout: {exc.strerror or exc}"
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
 

@@ -12,6 +12,11 @@ only when they tie does it go through `ComparisonEngine`, which compares
 slices of the word's letters (as bytes when the alphabet allows) and touches
 only the first min(|u|, |v|) letters of the two factors. Either way it counts
 as one comparison.
+
+Equal adjacent factors of a factorization share one `Word`: 0^k 1 yields k
+references to a single `0` and one `1`. Words are immutable and compare by
+value, so the sharing changes no output, equality or hash, and a pickle
+(smaller, as it stores a shared Word once) loads equal.
 """
 
 from __future__ import annotations
@@ -83,7 +88,17 @@ def factor_ranges(letters: tuple[int, ...]):
 def factorize_with_stats(word: Word) -> tuple[Factorization, int]:
     ranges, comparisons = factor_ranges(word.letters)
     letters, alphabet = word.letters, word.alphabet
-    factors = [_unchecked_word(letters[a:b], alphabet) for a, b in ranges]
+    # Nondecreasing factors put equal ones next to each other, so one Word
+    # per run of equal slices serves the whole run.
+    factors = []
+    push = factors.append
+    previous = ()
+    for a, b in ranges:
+        current = letters[a:b]
+        if current != previous:
+            previous = current
+            factor = _unchecked_word(current, alphabet)
+        push(factor)
     return Factorization(tuple(factors)), comparisons
 
 

@@ -137,7 +137,10 @@ class Word(_Frozen):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Word(self.letters[index], self.alphabet)
+            letters = self.letters[index]
+            if not letters:
+                raise ValueError("words are nonempty")
+            return _unchecked_word(letters, self.alphabet)
         return self.letters[index]
 
     def _check_same_alphabet(self, other: Word) -> None:
@@ -153,17 +156,17 @@ class Word(_Frozen):
 
     def __add__(self, other: Word) -> Word:
         self._check_same_alphabet(other)
-        return Word(self.letters + other.letters, self.alphabet)
+        return _unchecked_word(self.letters + other.letters, self.alphabet)
 
     def __mul__(self, k: int) -> Word:
         if k < 1:
             raise ValueError("word powers need k >= 1")
-        return Word(self.letters * k, self.alphabet)
+        return _unchecked_word(self.letters * k, self.alphabet)
 
     def rotate(self, offset: int) -> Word:
         """Left rotation: rotate(1) moves the first letter to the end."""
         k = offset % len(self.letters)
-        return Word(self.letters[k:] + self.letters[:k], self.alphabet)
+        return _unchecked_word(self.letters[k:] + self.letters[:k], self.alphabet)
 
     def is_suffix_of(self, other: Word) -> bool:
         self._check_same_alphabet(other)
@@ -194,6 +197,11 @@ def lex_compare(u: Word, v: Word) -> int:
 
 class Factorization(_Frozen):
     """A tuple of factors plus the order they are claimed to satisfy.
+
+    `nyldon_factorize` and `duval_lyndon_factorization` give equal adjacent
+    factors one shared `Word`. Words are immutable and compare by value, so
+    the sharing changes no output, equality or hash, and a pickle (smaller,
+    as it stores a shared Word once) loads equal.
 
     `order_witness` is "<policy>:<direction>", e.g. "lex:nondecreasing" for
     stack factorizations or "lex:nonincreasing" for Chen-Fox-Lyndon.
@@ -302,9 +310,13 @@ def duval_lyndon_factorization(w: Word) -> Factorization:
         while j < n and s[k] <= s[j]:
             k = i if s[k] < s[j] else k + 1
             j += 1
+        # the copies of one Lyndon word that Duval's inner loop emits share
+        # a single Word
+        period = j - k
+        factor = _unchecked_word(s[i : i + period], w.alphabet)
         while i <= k:
-            factors.append(Word(s[i : i + j - k], w.alphabet))
-            i += j - k
+            factors.append(factor)
+            i += period
     return Factorization(tuple(factors), "lex:nonincreasing")
 
 

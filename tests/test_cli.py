@@ -1,6 +1,7 @@
 """CLI surface: outputs, JSON payloads, exit codes."""
 
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -309,6 +310,26 @@ def test_closed_stdout_is_a_one_line_error(flags):
     proc.stderr.close()
     assert proc.wait() == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [("factor", "0001"), ("factor", "0001", "--json"), ("lazard", "--max-len", "12", "--trace")],
+    ids=["flush", "json", "write"],
+)
+def test_full_stdout_is_a_one_line_error(argv):
+    # a short output fails in main's flush, the 2.5 MB trace in print itself
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nyldon.cli", *argv],
+            env=_src_env(),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_circular_check(capsys):

@@ -1,5 +1,6 @@
 """Stack factorizer: oracle agreement, comparison bound, comparator correctness."""
 
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from nyldon import (
     BINARY,
     TERNARY,
+    Alphabet,
+    Factorization,
     Word,
     factorize,
     factorize_with_stats,
@@ -19,6 +22,7 @@ from nyldon import (
     words_up_to,
 )
 from nyldon.fastfactor import ComparisonEngine, factor_ranges
+from nyldon.words import _unchecked_word
 
 letters_st = st.lists(st.integers(0, 1), min_size=1, max_size=60).map(tuple)
 
@@ -161,3 +165,42 @@ def test_factors_nondecreasing_and_members():
         f = nyldon_factorize(w)
         assert f.verify(w)
         assert all(is_nyldon(x) for x in f.factors)
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        binary_st.map(lambda t: (BINARY, t)),
+        ternary_st.map(lambda t: (TERNARY, t)),
+        wide_tie_st.map(lambda t: (Alphabet(300), t)),
+    )
+)
+def test_shared_factors_equal_a_word_per_factor(case):
+    alphabet, letters = case
+    w = Word(tuple(letters), alphabet)
+    ranges, _ = factor_ranges(w.letters)
+    one_each = Factorization(
+        tuple(_unchecked_word(w.letters[a:b], alphabet) for a, b in ranges)
+    )
+    shared = nyldon_factorize(w)
+    assert shared == one_each
+    assert hash(shared) == hash(one_each)
+    for left, right in zip(shared.factors, shared.factors[1:]):
+        assert (left is right) == (left == right)
+
+
+@pytest.mark.parametrize(
+    "letters, factors",
+    [
+        ((0,) * 10**4 + (1,), ["0"] * 10**4 + ["1"]),
+        ((1,) * 10**4 + (0,), ["1"] * 9999 + ["10"]),
+    ],
+    ids=["0^k 1", "1^k 0"],
+)
+def test_runs_of_equal_factors_hold_one_word(letters, factors):
+    f = nyldon_factorize(Word(letters, BINARY))
+    assert [str(x) for x in f.factors] == factors
+    assert len({id(x) for x in f.factors}) == 2
+    loaded = pickle.loads(pickle.dumps(f))
+    assert loaded == f
+    assert hash(loaded) == hash(f)

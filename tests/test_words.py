@@ -50,6 +50,8 @@ def test_word_validation():
         Word((2,), BINARY)
     with pytest.raises(ValueError):
         Word.parse("")
+    with pytest.raises(ValueError, match="nonempty"):
+        Word.parse("101")[2:1]
     with pytest.raises(ValueError):
         Alphabet(1)
 
@@ -134,6 +136,14 @@ def test_duval_factors_are_lyndon_and_nonincreasing(w):
     assert f.word == w
     assert all(is_lyndon(x) for x in f.factors)
     assert all(a >= b for a, b in zip(f.factors, f.factors[1:]))
+    for left, right in zip(f.factors, f.factors[1:]):
+        assert (left is right) == (left == right)
+
+
+def test_duval_repeated_factors_hold_one_word():
+    f = duval_lyndon_factorization(Word((1,) * 10**4 + (0,), BINARY))
+    assert [str(x) for x in f.factors] == ["1"] * 10**4 + ["0"]
+    assert len({id(x) for x in f.factors}) == 2
 
 
 def test_lyndon_words_enumeration():

@@ -41,14 +41,14 @@ def main() -> None:
             x for x in enumerate_nyldon(BINARY, length).words()
             if len(x) == length
         ]
-        verdict = circular_code_check(code, 3)
+        verdict = circular_code_check(code)
         names = ", ".join(str(x) for x in code)
         print(f"members of length {length} {{{names}}}: "
               f"circular = {verdict.is_circular}")
 
     print()
     bad = [Word.parse(t) for t in ("00", "01", "10")]
-    verdict = circular_code_check(bad, 2)
+    verdict = circular_code_check(bad)
     seq, offset = verdict.witness
     reparse = rotation_parse(bad, seq, offset)
     print("the code {00, 01, 10} is not circular:")

@@ -335,11 +335,11 @@ def _criterion_9() -> tuple[bool, str]:
     members = oracle.enumerate_nyldon(BINARY, 5)
     for length in (2, 3, 4, 5):
         code = [w for w in members.words() if len(w) == length]
-        verdict = analysis.circular_code_check(code, 3)
+        verdict = analysis.circular_code_check(code)
         if not verdict.is_circular:
             return False, f"length-{length} code flagged non-circular"
     bad = [Word.parse(t, BINARY) for t in ("00", "01", "10")]
-    verdict = analysis.circular_code_check(bad, 2)
+    verdict = analysis.circular_code_check(bad)
     if verdict.is_circular:
         return False, "{00, 01, 10} wrongly accepted"
     seq, offset = verdict.witness
@@ -350,7 +350,7 @@ def _criterion_9() -> tuple[bool, str]:
     )
     ok = reference is not None and tuple(str(w) for w in reference) == ("01", "00")
     return ok, (
-        f"lengths 2-5 circular with max_blocks 3; {{00,01,10}} rejected, "
+        f"lengths 2-5 circular exactly; {{00,01,10}} rejected, "
         f"witness {tuple(str(w) for w in seq)} @ {offset}; (00,10) rotated "
         f"by 1 re-parses as (01, 00)"
     )

@@ -2,21 +2,21 @@
 
 Three families of checks live here:
 
-* circular-code verification for sets of equal-length words: every
-  concatenation of codewords, rotated by a non-multiple of the block length,
-  must fail to re-parse into codewords;
+* circular-code decision for sets of equal-length words: no concatenation
+  of codewords, rotated by a non-multiple of the block length, re-parses
+  into codewords, which holds exactly when the code's split graph has no
+  cycle;
 * power profiling: the factorization of w^k splits into a prefix, a maximal
   central run of copies of w's distinguished conjugate, and a suffix; the
   deficit K = k - central_copies is bounded by floor(log2 |w|) + 1;
 * a suffix criterion for Lyndon words: any word lexicographically smaller
   than all of its Lyndon proper suffixes is itself Lyndon.
 
-Each scan checks, before it starts, how many words it would visit against
-the one word budget (`errors.DEFAULT_WORD_BUDGET`): the suffix scan counts
-every word up to its max_len, the power scan the Lyndon representatives it
-profiles, the circular check the codeword blocks its sequences concatenate.
-The power and suffix scans can fan out across processes with a jobs
-argument.
+Each scan checks, before it starts, what it would visit against the one
+budget (`errors.DEFAULT_WORD_BUDGET`): the suffix scan counts every word up
+to its max_len, the power scan the Lyndon representatives it profiles, the
+circular check the edges of its split graph. The power and suffix scans
+can fan out across processes with a jobs argument.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import fastfactor, melancon
 from .errors import DEFAULT_WORD_BUDGET, InvariantError, NotPrimitiveError
@@ -55,6 +55,16 @@ class CircularCodeVerdict:
         }
 
 
+def _block_length(pool: Collection[Word]) -> int:
+    """The one length of the words of a nonempty code."""
+    if not pool:
+        raise ValueError("code must be nonempty")
+    lengths = {len(w) for w in pool}
+    if len(lengths) != 1:
+        raise ValueError("codewords must all have the same length")
+    return lengths.pop()
+
+
 def rotation_parse(
     code: Iterable[Word], sequence: Sequence[Word], offset: int
 ) -> tuple[Word, ...] | None:
@@ -62,76 +72,73 @@ def rotation_parse(
     into blocks of the code's common length; return the blocks if every one
     is a codeword, else None."""
     pool = set(code)
-    if not pool:
-        raise ValueError("code must be nonempty")
-    lengths = {len(w) for w in pool}
-    if len(lengths) != 1:
-        raise ValueError("codewords must all have the same length")
-    (ell,) = lengths
+    ell = _block_length(pool)
     if not sequence:
         raise ValueError("sequence must be nonempty")
-    alphabet = next(iter(pool)).alphabet
-    letters: tuple[int, ...] = ()
     for w in sequence:
         if w not in pool:
             raise ValueError(f"{w} is not a codeword")
-        letters = letters + w.letters
+    letters = tuple(x for w in sequence for x in w.letters)
     offset %= len(letters)
     rotated = letters[offset:] + letters[:offset]
-    members = {w.letters for w in pool}
-    blocks = []
-    for start in range(0, len(rotated), ell):
-        chunk = rotated[start : start + ell]
-        if chunk not in members:
-            return None
-        blocks.append(Word(chunk, alphabet))
-    return tuple(blocks)
+    members = {w.letters: w for w in pool}
+    chunks = [rotated[start : start + ell] for start in range(0, len(rotated), ell)]
+    if not all(chunk in members for chunk in chunks):
+        return None
+    return tuple(members[chunk] for chunk in chunks)
 
 
 def circular_code_check(
-    code: Iterable[Word],
-    max_blocks: int,
-    budget: int | None = DEFAULT_WORD_BUDGET,
+    code: Iterable[Word], budget: int | None = DEFAULT_WORD_BUDGET
 ) -> CircularCodeVerdict:
-    """Exhaustively test circularity over all codeword sequences of up to
-    max_blocks blocks and all rotation offsets that are not multiples of the
-    block length. The budget counts the codeword blocks the sequences
-    concatenate, sum of t * |code|^t for t = 1..max_blocks, so a long
-    sequence counts once per block it holds."""
+    """Decide whether a code of words of one length ell is circular: no
+    codeword sequence re-parses after a rotation by a non-multiple of ell.
+    Its split graph has an edge p -> s for every codeword ps with 1 <= |p|
+    <= ell - 1, and the code is circular if and only if the graph has no
+    cycle (Fimmel, Michel and Struengmann, Phil. Trans. R. Soc. A 374, 2016;
+    Berstel, Perrin and Reutenauer, Codes and Automata):
+
+    * a cycle u0 -> u1 -> ... -> u0, gone round twice if its length is odd,
+      is a witness: the sequence (u0 u1, u2 u3, ...) rotated by |u0|
+      re-parses as (u1 u2, u3 u4, ..., u_last u0);
+    * a re-parse at an offset r that is not a multiple of ell cuts each
+      codeword x_i of the sequence into p_i s_i with |p_i| = r mod ell and
+      reads the blocks s_i p_(i+1) around the circle, so p_0 -> s_0 -> p_1
+      -> s_1 -> ... walks the finite graph forever: the graph has a cycle.
+
+    One iterative depth-first search decides it. The budget counts the
+    graph's edges, |code| * (ell - 1); a code of one-letter words has none.
+    """
     pool = sorted(set(code))
-    if not pool:
-        raise ValueError("code must be nonempty")
-    lengths = {len(w) for w in pool}
-    if len(lengths) != 1:
-        raise ValueError("codewords must all have the same length")
-    (ell,) = lengths
-    if max_blocks < 1:
-        raise ValueError("max_blocks must be at least 1")
+    ell = _block_length(pool)
+    edges = len(pool) * (ell - 1)
+    check_budget(edges, budget, "circular check's split graph would hold", unit="edges")
+    successors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for w in pool:
+        for i in range(1, ell):
+            successors.setdefault(w.letters[:i], []).append(w.letters[i:])
 
-    if ell == 1:
-        # every rotation offset is a multiple of one letter: nothing to test
-        return CircularCodeVerdict(frozenset(pool), True, None)
-
-    blocks = sum(t * len(pool) ** t for t in range(1, max_blocks + 1))
-    check_budget(blocks, budget, "circular check would concatenate")
-
-    members = {w.letters for w in pool}
-    for t in range(1, max_blocks + 1):
-        for seq in product(pool, repeat=t):
-            letters: tuple[int, ...] = ()
-            for w in seq:
-                letters = letters + w.letters
-            n = len(letters)
-            for r in range(1, n):
-                if r % ell == 0:
-                    continue
-                rotated = letters[r:] + letters[:r]
-                if all(
-                    rotated[s : s + ell] in members for s in range(0, n, ell)
-                ):
-                    return CircularCodeVerdict(
-                        frozenset(pool), False, (seq, r)
-                    )
+    finished: set[tuple[int, ...]] = set()
+    for root in successors:
+        # the search path in order, each vertex with its unexplored edges
+        path = {} if root in finished else {root: iter(successors[root])}
+        while path:
+            vertex = next(reversed(path))
+            target = next(path[vertex], None)
+            if target is None:
+                del path[vertex]
+                finished.add(vertex)
+            elif target in path:
+                cycle = list(path)
+                cycle = cycle[cycle.index(target) :]
+                if len(cycle) % 2:
+                    cycle += cycle
+                sequence = tuple(
+                    Word(u + v, pool[0].alphabet) for u, v in zip(cycle[::2], cycle[1::2])
+                )
+                return CircularCodeVerdict(frozenset(pool), False, (sequence, len(cycle[0])))
+            elif target not in finished:
+                path[target] = iter(successors.get(target, ()))
     return CircularCodeVerdict(frozenset(pool), True, None)
 
 

@@ -5,8 +5,9 @@ lazard, circular-check, power-scan, lyndon-check, selftest, bench.
 
 Exit codes: 0 on success, 1 on domain errors (periodic input, order-policy
 violations, budget caps) and on a failed write to stdout (a closed pipe, a
-full disk), with a one-line ``error: ...`` diagnostic on stderr, 2 on usage errors
-(unknown flags or policies, malformed words, out-of-range values).
+full disk), ``--help`` included, with a one-line ``error: ...`` diagnostic on
+stderr, 2 on usage errors (unknown flags or policies, malformed words,
+out-of-range values).
 """
 
 from __future__ import annotations
@@ -41,13 +42,21 @@ class _StdoutError(Exception):
     """A write to stdout failed with the OSError in args[0]."""
 
 
-def _print(text: str) -> None:
+def _print(text: str, end: str = "\n", flush: bool = False) -> None:
     """print() to stdout. A failed write raises _StdoutError, which `main`
     turns into one error line; any other OSError keeps its traceback."""
     try:
-        print(text)
+        print(text, end=end, flush=flush)
     except OSError as exc:
         raise _StdoutError(exc) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:  # argparse drops a failed write and exits 0
+            _print(message, end="", flush=True)
+        else:
+            super()._print_message(message, file)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -245,12 +254,11 @@ def _cmd_circular_check(args: argparse.Namespace) -> int:
     alphabet = _alphabet(args)
     gset = hallsets.generate(get_policy("lex"), alphabet, args.length)
     code = [w for w in gset.words() if len(w) == args.length]
-    verdict = analysis.circular_code_check(code, args.max_blocks)
+    verdict = analysis.circular_code_check(code)
     payload = verdict.to_dict()
     payload["length"] = args.length
-    payload["max_blocks"] = args.max_blocks
     if verdict.is_circular:
-        text = f"circular: true ({len(code)} codewords, max_blocks {args.max_blocks})"
+        text = f"circular: true ({len(code)} codewords)"
     else:
         seq, off = verdict.witness
         text = (
@@ -336,7 +344,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nyldon",
         description="Factorizations, conjugates, generated sets, elimination "
         "runs, and code checks for Nyldon-style word families.",
@@ -401,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("circular-check", help="circularity of the fixed-length code")
     common(p)
     p.add_argument("--length", type=int, required=True, metavar="L")
-    p.add_argument("--max-blocks", type=int, default=3, metavar="B")
     p.set_defaults(func=_cmd_circular_check)
 
     p = sub.add_parser("power-scan", help="power-factorization deficit scan")

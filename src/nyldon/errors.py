@@ -40,13 +40,13 @@ class BudgetExceededError(NyldonError):
 DEFAULT_WORD_BUDGET = 2_000_000
 
 
-def check_budget(count: int, budget: int | None, what: str, *args) -> int:
-    """Return `count`, the words a scan visits or holds; raise
-    BudgetExceededError above `budget` (None: no limit). The message is
-    `what.format(*args)`, the count and the budget. It is formatted only on
-    the raise, so a check made once per step costs one call."""
+def check_budget(count: int, budget: int | None, what: str, *args, unit="words") -> int:
+    """Return `count`, the words (or other `unit`) a scan visits or holds;
+    raise BudgetExceededError above `budget` (None: no limit). The message is
+    `what.format(*args)`, the count, the unit and the budget. It is formatted
+    only on the raise, so a check made once per step costs one call."""
     if budget is not None and count > budget:
-        raise BudgetExceededError(f"{what.format(*args)} {count} words (budget {budget})")
+        raise BudgetExceededError(f"{what.format(*args)} {count} {unit} (budget {budget})")
     return count
 
 

@@ -72,13 +72,6 @@ class LazardReport:
         """Every removed word, in removal order; built on the first read."""
         return tuple(_unchecked_word(tuple(x), self.alphabet) for x in self.encoded)
 
-    def __setstate__(self, state: dict) -> None:
-        # Pickles from before `encoded` existed hold only the `chosen` words.
-        if "encoded" not in state:
-            encode = _encoder(state["alphabet"])
-            state = dict(state, encoded=tuple(encode(w.letters) for w in state["chosen"]))
-        self.__dict__.update(state)
-
     def to_dict(self) -> dict:
         return {
             "alphabet_size": self.alphabet.size,

@@ -32,14 +32,6 @@ class _Frozen:
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
-    def __setstate__(self, state):
-        # Only pickles from before these classes were written by hand carry
-        # a state: a list of field values, or a dict for Factorization.
-        if isinstance(state, dict):
-            state = [state[name] for name in self.__slots__]
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
-
 
 class Alphabet(_Frozen):
     """A totally ordered alphabet of `size` letters, coded 0..size-1."""

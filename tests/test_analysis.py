@@ -1,5 +1,6 @@
 """Circular codes, power-deficit profiling, and the Lyndon suffix criterion."""
 
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from nyldon import (
     BINARY,
+    LEX,
     TERNARY,
     BudgetExceededError,
     NotPrimitiveError,
@@ -16,6 +18,7 @@ from nyldon import (
     circular_code_check,
     conjugate,
     enumerate_nyldon,
+    generate,
     is_nyldon,
     k_bound_scan,
     lyndon_suffix_check,
@@ -33,24 +36,73 @@ def fixed_length_members(length):
     return [w for w in enumerate_nyldon(BINARY, length).words() if len(w) == length]
 
 
+def bounded_search(code, max_blocks):
+    """The reference the split-graph decision is checked against: try every
+    sequence of up to max_blocks codewords at every rotation offset that is
+    not a multiple of the block length."""
+    pool = sorted(set(code))
+    ell = len(pool[0])
+    members = {w.letters for w in pool}
+    for t in range(1, max_blocks + 1):
+        for seq in itertools.product(pool, repeat=t):
+            letters = tuple(x for w in seq for x in w.letters)
+            n = len(letters)
+            for r in range(1, n):
+                if r % ell == 0:
+                    continue
+                rotated = letters[r:] + letters[:r]
+                if all(rotated[s : s + ell] in members for s in range(0, n, ell)):
+                    return seq, r
+    return None
+
+
 def test_fixed_length_codes_are_circular():
     for length in (2, 3, 4, 5):
-        verdict = circular_code_check(fixed_length_members(length), 3)
+        verdict = circular_code_check(fixed_length_members(length))
         assert verdict.is_circular
         assert verdict.witness is None
         assert bool(verdict)
+    # the paper's claim, decided exactly at every length of each generated set
+    for alphabet, max_len in ((BINARY, 14), (TERNARY, 8)):
+        words = generate(LEX, alphabet, max_len).words()
+        for length in range(1, max_len + 1):
+            code = [w for w in words if len(w) == length]
+            assert circular_code_check(code).is_circular, (alphabet.size, length)
 
 
 def test_classic_counterexample():
-    bad = [Word.parse(t) for t in ("00", "01", "10")]
-    verdict = circular_code_check(bad, 2)
-    assert not verdict.is_circular
-    seq, offset = verdict.witness
-    assert rotation_parse(bad, seq, offset) is not None
-    assert offset % 2 != 0
-    d = verdict.to_dict()
-    assert d["is_circular"] is False
-    assert d["witness"]["offset"] == offset
+    for texts in (("00",), ("00", "01", "10")):
+        bad = [Word.parse(t) for t in texts]
+        verdict = circular_code_check(bad)
+        assert not verdict.is_circular
+        seq, offset = verdict.witness
+        assert (seq, offset) == ((Word.parse("00"),), 1)
+        assert rotation_parse(bad, seq, offset) is not None
+        d = verdict.to_dict()
+        assert d["is_circular"] is False
+        assert d["witness"] == {"sequence": ["00"], "offset": 1}
+
+
+def test_split_graph_matches_the_bounded_search():
+    # A simple cycle of the split graph uses each codeword at most once per
+    # split position, so a non-circular code has a witness of at most |code|
+    # blocks, and the search up to |code| blocks decides it too.
+    rng = random.Random(0xC1C)
+    outcomes = set()
+    for _ in range(1500):
+        alphabet = rng.choice((BINARY, TERNARY))
+        ell = rng.randint(1, 4)
+        words = [Word(t, alphabet) for t in itertools.product(range(alphabet.size), repeat=ell)]
+        code = rng.sample(words, min(len(words), rng.randint(1, 5)))
+        verdict = circular_code_check(code)
+        reference = bounded_search(code, len(code))
+        assert verdict.is_circular == (reference is None), [str(w) for w in code]
+        outcomes.add(verdict.is_circular)
+        if not verdict.is_circular:
+            seq, offset = verdict.witness
+            assert offset % ell != 0
+            assert rotation_parse(code, seq, offset) is not None
+    assert outcomes == {True, False}
 
 
 def test_rotation_parse_reference():
@@ -78,10 +130,10 @@ def test_rotation_parse_validation():
 def test_circular_verdict_is_rotation_symmetric():
     # a circular code stays circular under any relabeling of the sequence space
     code = fixed_length_members(3)
-    verdict = circular_code_check(code, 3)
+    verdict = circular_code_check(code)
     assert verdict.is_circular
     # and dropping to a subset cannot break circularity
-    sub = circular_code_check(code[:1], 3)
+    sub = circular_code_check(code[:1])
     assert sub.is_circular
 
 
@@ -101,9 +153,10 @@ def test_witness_survives_block_rotation():
 
 
 def test_circular_budget():
-    code = fixed_length_members(5)
+    code = fixed_length_members(5)  # 6 codewords, 4 split positions each
+    assert circular_code_check(code, budget=24).is_circular
     with pytest.raises(BudgetExceededError):
-        circular_code_check(code, 4, budget=10)
+        circular_code_check(code, budget=23)
 
 
 def test_power_profile_worked_example():

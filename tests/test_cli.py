@@ -315,11 +315,18 @@ def test_closed_stdout_is_a_one_line_error(flags):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
-    [("factor", "0001"), ("factor", "0001", "--json"), ("lazard", "--max-len", "12", "--trace")],
-    ids=["flush", "json", "write"],
+    [
+        ("factor", "0001"),
+        ("factor", "0001", "--json"),
+        ("lazard", "--max-len", "12", "--trace"),
+        ("--help",),
+        ("circular-check", "--help"),
+    ],
+    ids=["flush", "json", "write", "help", "subcommand_help"],
 )
 def test_full_stdout_is_a_one_line_error(argv):
-    # a short output fails in main's flush, the 2.5 MB trace in print itself
+    # a short output fails in main's flush, the 2.5 MB trace in print itself,
+    # and help in the parser's own flush before argparse exits
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "nyldon.cli", *argv],
@@ -336,12 +343,19 @@ def test_circular_check(capsys):
     code, out, _ = run_cli(capsys, "circular-check", "--length", "3")
     assert code == 0
     assert out.startswith("circular: true")
-    code, out, _ = run_cli(
-        capsys, "circular-check", "--length", "4", "--max-blocks", "2", "--json"
-    )
+    assert out == "circular: true (2 codewords)\n"
+    code, out, _ = run_cli(capsys, "circular-check", "--length", "4", "--json")
     payload = json.loads(out)
-    assert payload["is_circular"] is True
-    assert payload["length"] == 4
+    assert payload == {
+        "code": ["1000", "1001", "1011"],
+        "is_circular": True,
+        "witness": None,
+        "length": 4,
+    }
+    # the split graph decides exactly, so there is no block count to pass
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["circular-check", "--length", "4", "--max-blocks", "2"])
+    assert exc.value.code == 2
 
 
 def test_power_scan(capsys):

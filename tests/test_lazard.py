@@ -97,24 +97,6 @@ def test_report_pickles_round_trip():
         assert back.chosen == report.chosen
 
 
-def test_pickles_of_the_report_with_stored_words_load():
-    # a protocol 4 pickle of lazard_report(BINARY, 3), written while the
-    # report stored `chosen` as a field
-    old = (
-        b"\x80\x04\x95\xfe\x00\x00\x00\x00\x00\x00\x00\x8c\rnyldon.lazard\x94\x8c\x0cLazardRep"
-        b"ort\x94\x93\x94)\x81\x94}\x94(\x8c\x08alphabet\x94\x8c\x0cnyldon.words\x94\x8c\x08Al"
-        b"phabet\x94\x93\x94K\x02\x85\x94R\x94\x8c\x01n\x94K\x03\x8c\x0btotal_steps\x94K\x05"
-        b"\x8c\x0efinishing_step\x94K\x03\x8c\tstop_word\x94h\x06\x8c\x04Word\x94\x93\x94K\x01"
-        b"\x85\x94h\n\x86\x94R\x94\x8c\x10words_after_stop\x94K\x03\x8c\x06chosen\x94(h\x10K\x00"
-        b"\x85\x94h\n\x86\x94R\x94h\x13h\x10K\x01K\x00\x86\x94h\n\x86\x94R\x94h\x10K\x01K\x00"
-        b"K\x00\x87\x94h\n\x86\x94R\x94h\x10K\x01K\x00K\x01\x87\x94h\n\x86\x94R\x94t\x94ub."
-    )
-    loaded = pickle.loads(old)
-    report = lazard_report(BINARY, 3)
-    assert loaded == report and hash(loaded) == hash(report)
-    assert loaded.chosen == report.chosen
-
-
 def test_snapshot_length_counts_match_kraft_counts():
     # kraft_counts follows the removal history by a count recurrence alone,
     # so it checks every snapshot without sharing code with the driver

@@ -232,24 +232,6 @@ def test_values_copy_and_pickle(value):
         assert clone == value and type(clone) is type(value)
 
 
-def test_pickles_of_the_dataclass_versions_load():
-    # protocol 4 pickles of Alphabet(12), Word.parse("10011") and
-    # FACTORIZATION, written while the three classes were dataclasses
-    old = [
-        b"\x80\x04\x95&\x00\x00\x00\x00\x00\x00\x00\x8c\x0cnyldon.words\x94\x8c\x08Alphabet"
-        b"\x94\x93\x94)\x81\x94]\x94K\x0cab.",
-        b"\x80\x04\x95F\x00\x00\x00\x00\x00\x00\x00\x8c\x0cnyldon.words\x94\x8c\x04Word\x94"
-        b"\x93\x94)\x81\x94]\x94((K\x01K\x00K\x00K\x01K\x01t\x94h\x00\x8c\x08Alphabet\x94"
-        b"\x93\x94)\x81\x94]\x94K\x02abeb.",
-        b"\x80\x04\x95\xb3\x00\x00\x00\x00\x00\x00\x00\x8c\x0cnyldon.words\x94\x8c\rFactori"
-        b"zation\x94\x93\x94)\x81\x94}\x94(\x8c\x07factors\x94h\x00\x8c\x04Word\x94\x93\x94)"
-        b"\x81\x94]\x94((K\x01K\x00K\x00K\x00t\x94h\x00\x8c\x08Alphabet\x94\x93\x94)\x81"
-        b"\x94]\x94K\x02abebh\x07)\x81\x94]\x94((K\x01K\x00K\x01K\x01K\x00K\x01K\x00K\x01"
-        b"K\x00K\x01t\x94h\reb\x86\x94\x8c\rorder_witness\x94\x8c\x11lex:nondecreasing\x94ub.",
-    ]
-    assert [pickle.loads(data) for data in old] == [value for value, _ in VALUES]
-
-
 def test_keyword_construction():
     ternary = Alphabet(size=3)
     w = Word(letters=[2, 0], alphabet=ternary)

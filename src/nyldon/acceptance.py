@@ -14,13 +14,12 @@ import contextlib
 import io
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import analysis, fastfactor, hallsets, lazard, melancon, oracle
 from .order import LEX, RLEX
-from .words import BINARY, TERNARY, Word, conjugates, lyndon_words, words_up_to
+from .words import BINARY, TERNARY, Word, _Frozen, conjugates, lyndon_words, words_up_to
 
 # The 41 binary member words of length at most 7 (per-length counts
 # 2, 1, 2, 3, 6, 9, 18), in shortlex order.
@@ -87,13 +86,8 @@ POWER_EXAMPLE_W = "01111011011111011110111"
 POWER_EXAMPLE_N = "10111101101111101111011"
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
-    elapsed_s: float
+class CriterionResult(_Frozen):
+    __slots__ = ("number", "name", "ok", "detail", "elapsed_s")
 
     def to_dict(self) -> dict:
         return {
@@ -402,12 +396,12 @@ def _criterion_12() -> tuple[bool, str]:
         last = fastfactor.nyldon_factorize(w).factors[-1]
         if last != oracle.longest_nyldon_suffix(w):
             return False, f"last factor of {w} is not its longest member suffix"
-        melancon.factorize(w, LEX, check_growth=True)
+        melancon.factorize(w, LEX)
 
     for rep in lyndon_words(BINARY, 10):
         if len(rep) >= 2:
-            melancon.conjugate(rep, LEX, variant="pq", check_growth=True)
-            melancon.conjugate(rep, LEX, variant="phases", check_growth=True)
+            melancon.conjugate(rep, LEX, variant="pq")
+            melancon.conjugate(rep, LEX, variant="phases")
 
     nyldon7 = hallsets.generate(LEX, BINARY, 7)
     verdict_n = hallsets.verify_hall(nyldon7, LEX)

@@ -15,29 +15,29 @@ Three families of checks live here:
 Each scan checks, before it starts, what it would visit against the one
 budget (`errors.DEFAULT_WORD_BUDGET`): the suffix scan counts every word up
 to its max_len, the power scan the Lyndon representatives it profiles, the
-circular check the edges of its split graph. The power and suffix scans
-can fan out across processes with a jobs argument.
+circular check the edges of its split graph, and the fixed-length code the
+Lyndon words it generates. The power and suffix scans fan out across
+min(jobs, CPU count, tasks) processes, and run in-process when that is 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
 from itertools import product
 from typing import Collection, Iterable, Sequence
 
 from . import fastfactor, melancon
 from .errors import DEFAULT_WORD_BUDGET, InvariantError, NotPrimitiveError
 from .errors import check_budget, check_word_budget
-from .words import Alphabet, Word, is_primitive, lyndon_words, minimal_period
+from .words import Alphabet, Word, _Frozen, is_primitive, lyndon_words, minimal_period
 
 
-@dataclass(frozen=True)
-class CircularCodeVerdict:
-    code: frozenset[Word]
-    is_circular: bool
-    # (codeword sequence, rotation offset) whose rotation re-parses
-    witness: tuple[tuple[Word, ...], int] | None = None
+class CircularCodeVerdict(_Frozen):
+    """`witness` is None for a circular code, else a (codeword sequence,
+    rotation offset) pair whose rotation re-parses into codewords."""
+
+    __slots__ = ("code", "is_circular", "witness")
 
     def __bool__(self) -> bool:
         return self.is_circular
@@ -111,8 +111,7 @@ def circular_code_check(
     """
     pool = sorted(set(code))
     ell = _block_length(pool)
-    edges = len(pool) * (ell - 1)
-    check_budget(edges, budget, "circular check's split graph would hold", unit="edges")
+    _check_split_graph(len(pool) * (ell - 1), budget)
     successors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for w in pool:
         for i in range(1, ell):
@@ -142,8 +141,28 @@ def circular_code_check(
     return CircularCodeVerdict(frozenset(pool), True, None)
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+def _check_split_graph(edges: int, budget: int | None) -> None:
+    check_budget(edges, budget, "circular check's split graph would hold", unit="edges")
+
+
+def fixed_length_code(alphabet: Alphabet, length: int) -> list[Word]:
+    """The member words of one length, in lex order: the circular contraction
+    of each Lyndon word of that length, as each primitive class holds one
+    member. Before it starts, the Lyndon words the FKM generator visits (every
+    one up to `length`) are checked against the word budget, and the code's
+    split graph against the edge budget of `circular_code_check`, so a code
+    too large to check is refused before it is built."""
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    counts = _lyndon_counts(alphabet.size, length)
+    what = "the length-{} code would visit"
+    check_budget(sum(counts), DEFAULT_WORD_BUDGET, what, length)
+    _check_split_graph(counts[length] * (length - 1), DEFAULT_WORD_BUDGET)
+    reps = (w for w in lyndon_words(alphabet, length) if len(w) == length)
+    return sorted(melancon.conjugate(w) for w in reps)
+
+
+class PowerProfile(_Frozen):
     """Shape of the factorization of w^k around copies of w's conjugate.
 
     The factor list of w^k always reads prefix_factors, then central_copies
@@ -153,13 +172,8 @@ class PowerProfile:
     factor equals n the split is reported as all-prefix and K is None.
     """
 
-    w: Word
-    n: Word
-    k: int
-    prefix_factors: tuple[Word, ...]
-    central_copies: int
-    suffix_factors: tuple[Word, ...]
-    K: int | None
+    __slots__ = ("w", "n", "k", "prefix_factors", "central_copies", "suffix_factors",
+                 "K")
 
     def to_dict(self) -> dict:
         return {
@@ -215,16 +229,12 @@ def power_profile(w: Word, k: int, n: Word | None = None) -> PowerProfile:
     return PowerProfile(w, n, k, prefix, best_len, suffix, K)
 
 
-@dataclass(frozen=True)
-class KBoundReport:
-    alphabet: Alphabet
-    max_len: int
-    k: int
-    word_count: int
-    max_K: int
-    histogram: dict[int, int] = field(default_factory=dict)
-    violations: tuple[Word, ...] = ()
-    no_central: tuple[Word, ...] = ()  # words whose profile has no n run
+class KBoundReport(_Frozen):
+    """`histogram` counts the classes by deficit K; `no_central` lists the
+    words whose profile has no run of n."""
+
+    __slots__ = ("alphabet", "max_len", "k", "word_count", "max_K", "histogram",
+                 "violations", "no_central")
 
     def to_dict(self) -> dict:
         return {
@@ -267,16 +277,24 @@ def _profile_rep(args: tuple[int, tuple[int, ...], int]) -> tuple[tuple[int, ...
     return letters, base.K, stable
 
 
-def _lyndon_count(size: int, max_len: int) -> int:
-    """The number of Lyndon words of length 1..max_len over `size` letters.
-    Each word of length n is u^(n/d) for one primitive word u of length
-    d | n, and the primitive words of length d are the d rotations of each
-    of the L(d) Lyndon words, so size^n = sum of d * L(d) over those d."""
+def _workers(jobs: int, tasks: int) -> int:
+    """The processes a scan of `tasks` tasks starts for `jobs`: no more than
+    the cores or the tasks, since a fork pool starts every worker on its
+    first submit. A scan runs in-process when this is 1."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
+def _lyndon_counts(size: int, max_len: int) -> list[int]:
+    """The number L(n) of Lyndon words of each length n = 0..max_len over
+    `size` letters (L(0) = 0). Each word of length n is u^(n/d) for one
+    primitive word u of length d | n, and the primitive words of length d are
+    the d rotations of each of the L(d) Lyndon words, so size^n = sum of
+    d * L(d) over those d."""
     counts = [0] * (max_len + 1)
     for n in range(1, max_len + 1):
         proper = sum(d * counts[d] for d in range(1, n) if n % d == 0)
         counts[n] = (size**n - proper) // n
-    return sum(counts)
+    return counts
 
 
 def k_bound_scan(
@@ -298,16 +316,17 @@ def k_bound_scan(
         raise ValueError("k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    classes = _lyndon_count(alphabet.size, max_len)
+    classes = sum(_lyndon_counts(alphabet.size, max_len))
     check_budget(classes, DEFAULT_WORD_BUDGET, "power scan would profile")
 
     reps = [w.letters for w in lyndon_words(alphabet, max_len)]
     tasks = [(alphabet.size, letters, k) for letters in reps]
 
-    if jobs > 1 and len(tasks) > 1:
+    workers = _workers(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_profile_rep, tasks, chunksize=32))
     else:
         results = [_profile_rep(task) for task in tasks]
@@ -391,10 +410,11 @@ def lyndon_suffix_check(
         w.letters for w in lyndon_words(alphabet, max_len)
     )
     tasks = [(alphabet.size, length, lyndon_set) for length in range(1, max_len + 1)]
-    if jobs > 1:
+    workers = _workers(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for counterexample in pool.map(_lyndon_suffix_range, tasks):
                 if counterexample is not None:
                     return False

@@ -249,11 +249,9 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
 
 
 def _cmd_circular_check(args: argparse.Namespace) -> int:
-    from . import analysis, hallsets
+    from . import analysis
 
-    alphabet = _alphabet(args)
-    gset = hallsets.generate(get_policy("lex"), alphabet, args.length)
-    code = [w for w in gset.words() if len(w) == args.length]
+    code = analysis.fixed_length_code(_alphabet(args), args.length)
     verdict = analysis.circular_code_check(code)
     payload = verdict.to_dict()
     payload["length"] = args.length

@@ -20,45 +20,37 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from . import melancon, oracle
 from .errors import DEFAULT_WORD_BUDGET, check_word_budget
 from .errors import InvariantError, PolicyViolationError
 from .order import OrderPolicy, get_policy
-from .words import Alphabet, Word, lyndon_words
+from .words import Alphabet, Word, _Frozen, lyndon_words
 
 
-@dataclass(frozen=True)
-class NyldonLikeCheck:
+class NyldonLikeCheck(_Frozen):
     """Growth-clause fragment of a Hall verdict."""
 
-    nyldon_like_ok: bool
-    counterexamples: tuple[tuple[Word, Word, str], ...] = ()
+    __slots__ = ("nyldon_like_ok", "counterexamples")
 
     def __bool__(self) -> bool:
         return self.nyldon_like_ok
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
-    ok: bool
-    witness: Word | None = None
-    count: int | None = None  # factorization count of the witness
+class FactorizationCheck(_Frozen):
+    """When not ok, `witness` has `count` nondecreasing factorizations."""
+
+    __slots__ = ("ok", "witness", "count")
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class HallVerdict:
-    policy_id: str
-    is_factorization: bool
-    is_right_hall: bool
-    is_left_hall: bool
-    is_viennot: bool
-    nyldon_like_ok: bool
-    counterexamples: tuple[tuple[Word, Word, str], ...] = field(default_factory=tuple)
+class HallVerdict(_Frozen):
+    """The clause verdicts; `counterexamples` holds (f, g, clause) triples."""
+
+    __slots__ = ("policy_id", "is_factorization", "is_right_hall", "is_left_hall",
+                 "is_viennot", "nyldon_like_ok", "counterexamples")
 
     def to_dict(self) -> dict:
         return {
@@ -181,7 +173,7 @@ def verify_factorization_property(
             count = oracle.parse_count(tup, gset.member_tuples, policy.compare)
             if count != 1:
                 return FactorizationCheck(False, Word(tup, gset.alphabet), count)
-    return FactorizationCheck(True)
+    return FactorizationCheck(True, None, None)
 
 
 def verify_hall(

@@ -32,45 +32,52 @@ import bisect
 import heapq
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_WORD_BUDGET, InvariantError
 from .errors import check_budget, check_word_budget
-from .words import Alphabet, Word, _unchecked_word
+from .words import Alphabet, Word, _Frozen, _field_repr, _unchecked_word
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class LazardState:
-    """Snapshot taken at the start of a step, before its word is removed."""
+class LazardState(_Frozen):
+    """Snapshot taken at the start of a step, before its word is removed:
+    `chosen` holds the words removed at earlier steps, in order, `current`
+    the working set truncated at n, and `chosen_word` the word this step
+    removes (the least of `current`)."""
 
-    alphabet: Alphabet
-    n: int
-    step: int
-    chosen: tuple[Word, ...]  # words removed at earlier steps, in order
-    current: frozenset[Word]  # working set at this step, truncated at n
-    chosen_word: Word  # the word this step removes (least of current)
+    __slots__ = ("alphabet", "n", "step", "chosen", "current", "chosen_word")
 
 
-@dataclass(frozen=True)
-class LazardReport:
-    alphabet: Alphabet
-    n: int
-    total_steps: int
-    finishing_step: int
-    stop_word: Word | None
-    words_after_stop: int
-    # every removed word in removal order, encoded as `_eliminate` holds it
-    encoded: tuple = field(repr=False)
+class _ChosenCache(_Frozen):
+    # LazardReport.chosen once read; in a base class, as a class's own
+    # __slots__ are its fields
+    __slots__ = ("_chosen",)
 
-    @cached_property
+
+class LazardReport(_ChosenCache):
+    """`encoded` holds every removed word in removal order, encoded as
+    `_eliminate` holds it; `chosen` holds them as Words."""
+
+    __slots__ = ("alphabet", "n", "total_steps", "finishing_step", "stop_word",
+                 "words_after_stop", "encoded")
+
+    def __repr__(self) -> str:
+        # without `encoded`: a binary-20 report removes 111 013 words
+        return _field_repr(self, self.__slots__[:-1])
+
+    @property
     def chosen(self) -> tuple[Word, ...]:
         """Every removed word, in removal order; built on the first read."""
-        return tuple(_unchecked_word(tuple(x), self.alphabet) for x in self.encoded)
+        try:
+            return self._chosen
+        except AttributeError:
+            alphabet = self.alphabet
+            chosen = tuple(_unchecked_word(tuple(x), alphabet) for x in self.encoded)
+            object.__setattr__(self, "_chosen", chosen)
+            return chosen
 
     def to_dict(self) -> dict:
         return {
@@ -83,11 +90,10 @@ class LazardReport:
         }
 
 
-@dataclass(frozen=True)
-class CodeCheck:
-    ok: bool
-    witness: Word | None = None
-    count: int | None = None  # number of parses of the witness
+class CodeCheck(_Frozen):
+    """When not ok, `witness` parses `count` ways."""
+
+    __slots__ = ("ok", "witness", "count")
 
     def __bool__(self) -> bool:
         return self.ok
@@ -280,7 +286,7 @@ def code_check(
 
     pool = sorted(set(words))
     if not pool:
-        return CodeCheck(True)
+        return CodeCheck(True, None, None)
     alphabet = pool[0].alphabet
     for w in pool:
         if w.alphabet != alphabet:
@@ -295,7 +301,7 @@ def code_check(
             count = parse_count(tup, codewords)
             if count > 1:
                 return CodeCheck(False, Word(tup, alphabet), count)
-    return CodeCheck(True)
+    return CodeCheck(True, None, None)
 
 
 def lazard_code_check(

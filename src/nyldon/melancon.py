@@ -40,8 +40,8 @@ Both contract only a minimal block into a strictly greater left neighbour, so
 their end results coincide; tests assert this differentially, on both sides
 of the cutoff.
 
-For policies expected to generate sets with the growth property (f < fg, as
-lex does), every contraction optionally checks fg > f > g live and raises
+Under a policy that assumes the growth property (f < fg; `assume_nyldon_like`,
+as lex does), every contraction checks fg > f > g live and raises
 PolicyViolationError on failure.
 """
 
@@ -54,7 +54,8 @@ from itertools import count as _fresh
 from .errors import InvariantError, NotPrimitiveError, PolicyViolationError
 from .fastfactor import ComparisonEngine
 from .order import LEX, OrderPolicy
-from .words import Factorization, Word, _unchecked_word, is_primitive, minimal_period
+from .words import Factorization, Word, _Frozen, _unchecked_word, is_primitive
+from .words import minimal_period
 
 # Lex compares on bases of at least this many letters go through fastfactor's
 # bounded comparator, which slices only min(|u|, |v|) letters; shorter bases
@@ -118,35 +119,15 @@ def _range_comparator(base: tuple[int, ...], policy: OrderPolicy):
     return compare
 
 
-class ContractionTrace:
+class ContractionTrace(_Frozen):
     """Chain snapshots, one per phase; indexable like a plain list.
 
     `mode` is "circular" or "linear"; a circular trace carries its
-    `conjugate`, a linear one its `factorization`.
+    `conjugate` (and `factorization` None), a linear one its `factorization`
+    (and `conjugate` None).
     """
 
-    def __init__(
-        self,
-        mode: str,
-        snapshots: list[list[Word]],
-        conjugate: Word | None = None,
-        factorization: Factorization | None = None,
-    ):
-        self.mode = mode
-        self.snapshots = snapshots
-        self.conjugate = conjugate
-        self.factorization = factorization
-
-    def __repr__(self) -> str:
-        return (
-            f"ContractionTrace(mode={self.mode!r}, snapshots={self.snapshots!r}, "
-            f"conjugate={self.conjugate!r}, factorization={self.factorization!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
+    __slots__ = ("mode", "snapshots", "conjugate", "factorization")
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -175,9 +156,9 @@ def _phase_run(
     word: Word,
     policy: OrderPolicy,
     circular: bool,
-    check_growth: bool,
     want_snapshots: bool,
 ):
+    check_growth = policy.assume_nyldon_like
     letters = word.letters
     alphabet = word.alphabet
     n = len(letters)
@@ -273,7 +254,8 @@ class _Node:
         self.alive = True
 
 
-def _pq_run(word: Word, policy: OrderPolicy, circular: bool, check_growth: bool):
+def _pq_run(word: Word, policy: OrderPolicy, circular: bool):
+    check_growth = policy.assume_nyldon_like
     letters = word.letters
     alphabet = word.alphabet
     n = len(letters)
@@ -392,12 +374,7 @@ def _engine(word: Word, variant: str | None) -> str:
     return variant
 
 
-def conjugate(
-    word: Word,
-    policy: OrderPolicy = LEX,
-    variant: str | None = None,
-    check_growth: bool | None = None,
-) -> Word:
+def conjugate(word: Word, policy: OrderPolicy = LEX, variant: str | None = None) -> Word:
     """The unique conjugate of a primitive word that lies in the policy's set.
 
     `variant` None picks the engine by length (the phase engine below
@@ -406,50 +383,41 @@ def conjugate(
     """
     if not is_primitive(word):
         raise NotPrimitiveError(word, minimal_period(word))
-    growth = policy.assume_nyldon_like if check_growth is None else check_growth
     variant = _engine(word, variant)
     if variant == "pq":
-        result, _ = _pq_run(word, policy, circular=True, check_growth=growth)
+        result, _ = _pq_run(word, policy, circular=True)
         return result
     if variant == "phases":
-        _, result, _ = _phase_run(word, policy, True, growth, want_snapshots=False)
+        _, result, _ = _phase_run(word, policy, True, want_snapshots=False)
         return result
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def factorize(
-    word: Word,
-    policy: OrderPolicy = LEX,
-    variant: str | None = None,
-    check_growth: bool | None = None,
+    word: Word, policy: OrderPolicy = LEX, variant: str | None = None
 ) -> Factorization:
     """Factorization into nondecreasing members of the policy's generated set;
     `variant` as for `conjugate`."""
-    growth = policy.assume_nyldon_like if check_growth is None else check_growth
     variant = _engine(word, variant)
     if variant == "pq":
-        _, result = _pq_run(word, policy, circular=False, check_growth=growth)
+        _, result = _pq_run(word, policy, circular=False)
         return result
     if variant == "phases":
-        _, _, result = _phase_run(word, policy, False, growth, want_snapshots=False)
+        _, _, result = _phase_run(word, policy, False, want_snapshots=False)
         return result
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def contraction_trace(
-    word: Word,
-    policy: OrderPolicy = LEX,
-    mode: str = "circular",
-    check_growth: bool | None = None,
+    word: Word, policy: OrderPolicy = LEX, mode: str = "circular"
 ) -> ContractionTrace:
     """Phase-by-phase snapshots of the contraction, in chain order."""
-    growth = policy.assume_nyldon_like if check_growth is None else check_growth
     if mode == "circular":
         if not is_primitive(word):
             raise NotPrimitiveError(word, minimal_period(word))
-        snapshots, conj, _ = _phase_run(word, policy, True, growth, True)
-        return ContractionTrace("circular", snapshots, conjugate=conj)
+        snapshots, conj, _ = _phase_run(word, policy, True, True)
+        return ContractionTrace("circular", snapshots, conj, None)
     if mode == "linear":
-        snapshots, _, fact = _phase_run(word, policy, False, growth, True)
-        return ContractionTrace("linear", snapshots, factorization=fact)
+        snapshots, _, fact = _phase_run(word, policy, False, True)
+        return ContractionTrace("linear", snapshots, None, fact)
     raise ValueError(f"unknown trace mode {mode!r}")

@@ -18,13 +18,12 @@ nondecreasing parse, `hallsets`) and unique decodability (`lazard`) use it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DEFAULT_WORD_BUDGET, InvariantError, check_word_budget
 from .order import OrderPolicy, get_policy
-from .words import Alphabet, Factorization, Word
+from .words import Alphabet, Factorization, Word, _Frozen
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -123,14 +122,10 @@ def nyldon_factorization_bruteforce(word: Word, length_cap: int = 64) -> Factori
 # Policy-generic generation against an explicit member set
 
 
-@dataclass(frozen=True)
-class GeneratedSet:
+class GeneratedSet(_Frozen):
     """The members up to max_len of the set generated under a policy."""
 
-    alphabet: Alphabet
-    max_len: int
-    policy_id: str
-    member_tuples: frozenset[tuple[int, ...]]
+    __slots__ = ("alphabet", "max_len", "policy_id", "member_tuples")
 
     def __contains__(self, word) -> bool:
         letters = word.letters if isinstance(word, Word) else tuple(word)

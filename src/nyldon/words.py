@@ -16,12 +16,48 @@ from .errors import AlphabetMismatchError
 
 
 class _Frozen:
-    """Immutability and pickling for the value classes below, whose
-    `__slots__` name their fields in constructor order. The classes are
-    written out by hand because generating them at import (and importing the
-    generator) cost each CLI process more than the stack factorizer does."""
+    """The package's one value-class mechanism. A subclass names its fields
+    in `__slots__`, in constructor order, and this base derives the rest from
+    that tuple: a positional and keyword constructor, equality (within the
+    class only) and a hash over the field values, a `Name(field=value, ...)`
+    repr, immutability, and pickling and copying through the constructor. A
+    class that validates its arguments or has a default writes its own
+    `__init__` and passes the values on.
+
+    The methods read the field tuple on each call instead of generating code
+    per class: the standard library's class generator, with the `inspect` it
+    imports, cost each CLI process more than the stack factorizer does, and
+    building and comparing these classes is not hot. What is hot keeps its
+    own methods: `Word`'s, and `Alphabet.__hash__`, which every Word hash
+    calls."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # positional calls skip the binding
+            values = dict(zip(names, args), **kwargs)
+            if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other is self:  # every Word order check compares its (shared) alphabet
+            return True
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return _field_repr(self, self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -30,29 +66,28 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, self._values()
+
+
+def _field_repr(value: _Frozen, names: tuple[str, ...]) -> str:
+    """`Name(field=value, ...)` over the fields `names`."""
+    fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
+    return f"{type(value).__name__}({fields})"
 
 
 class Alphabet(_Frozen):
     """A totally ordered alphabet of `size` letters, coded 0..size-1."""
 
     __slots__ = ("size",)
-    size: int
 
     def __init__(self, size: int):
         if size < 2:
             raise ValueError(f"alphabet size must be >= 2, got {size}")
-        object.__setattr__(self, "size", size)
-
-    def __repr__(self) -> str:
-        return f"Alphabet(size={self.size!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.size == other.size
-        return NotImplemented
+        _Frozen.__init__(self, size)
 
     def __hash__(self) -> int:
+        # the base's hash, written out: every Word hash calls it, and the
+        # generic one made lazard_run(BINARY, 13) about 50% slower
         return hash((self.size,))
 
     def letters(self) -> list[Word]:
@@ -88,8 +123,6 @@ class Word(_Frozen):
     """A nonempty immutable word; ordered lexicographically within its alphabet."""
 
     __slots__ = ("letters", "alphabet")
-    letters: tuple[int, ...]
-    alphabet: Alphabet
 
     def __init__(self, letters: tuple[int, ...], alphabet: Alphabet = BINARY):
         if not isinstance(letters, tuple):
@@ -200,33 +233,13 @@ class Factorization(_Frozen):
     """
 
     __slots__ = ("factors", "order_witness")
-    factors: tuple[Word, ...]
-    order_witness: str
 
     def __init__(
         self, factors: tuple[Word, ...], order_witness: str = "lex:nondecreasing"
     ):
         if not factors:
             raise ValueError("a factorization has at least one factor")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "order_witness", order_witness)
-
-    def __repr__(self) -> str:
-        return (
-            f"Factorization(factors={self.factors!r}, "
-            f"order_witness={self.order_witness!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.factors, self.order_witness) == (
-                other.factors,
-                other.order_witness,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.factors, self.order_witness))
+        _Frozen.__init__(self, factors, order_witness)
 
     @property
     def word(self) -> Word:

@@ -15,6 +15,7 @@ from nyldon import (
     BudgetExceededError,
     NotPrimitiveError,
     Word,
+    analysis,
     circular_code_check,
     conjugate,
     enumerate_nyldon,
@@ -332,3 +333,52 @@ def test_lyndon_suffix_check_small():
     assert lyndon_suffix_check(BINARY, 10)
     assert lyndon_suffix_check(TERNARY, 6)
     assert lyndon_suffix_check(BINARY, 8, jobs=2)
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the workers asked for and
+    maps in this process, so no worker is ever started."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("cores, expected", [(3, [3, 3]), (1, []), (None, [])])
+def test_pools_start_no_more_workers_than_cores_or_tasks(monkeypatch, cores, expected):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_InProcessPool, "asked", [])
+    # a fork pool starts all of max_workers on its first submit
+    assert k_bound_scan(BINARY, 4, jobs=100_000) == k_bound_scan(BINARY, 4)
+    assert lyndon_suffix_check(BINARY, 4, jobs=100_000)
+    assert _InProcessPool.asked == expected
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 64)
+    k_bound_scan(BINARY, 4, jobs=100_000)  # 8 Lyndon words up to length 4
+    lyndon_suffix_check(BINARY, 4, jobs=100_000)  # one task per length
+    assert _InProcessPool.asked[len(expected) :] == [8, 4]
+
+
+def test_fixed_length_code_is_the_generated_sets_layer():
+    # one conjugate per Lyndon word of the length gives exactly the members
+    # of that length that generation finds
+    for alphabet, max_len in ((BINARY, 14), (TERNARY, 8)):
+        words = generate(LEX, alphabet, max_len).words()
+        for length in range(1, max_len + 1):
+            expected = [w for w in words if len(w) == length]
+            got = analysis.fixed_length_code(alphabet, length)
+            assert got == expected, (alphabet.size, length)
+    with pytest.raises(ValueError):
+        analysis.fixed_length_code(BINARY, 0)

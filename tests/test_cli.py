@@ -85,11 +85,35 @@ def test_default_factor_loads_only_the_stack_factorizer():
     assert "nyldon.melancon" not in loaded
 
 
-@pytest.mark.parametrize("command", ["factor", "is-member", "conjugate", "trace"])
-def test_word_commands_load_no_class_generator(command):
-    # dataclasses and the inspect it loads cost more than the work itself
-    _, loaded = _imported_by(command, "0110")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "0110"),
+        ("is-member", "0110"),
+        ("conjugate", "0110"),
+        ("trace", "0110"),
+        ("enumerate", "--max-len", "6"),
+        ("verify-hall", "--max-len", "6", "--json"),
+        ("lazard", "--max-len", "6", "--trace", "--kraft", "6"),
+        ("circular-check", "--length", "6"),
+        ("power-scan", "--max-len", "6"),
+        ("lyndon-check", "--max-len", "6"),
+        ("bench", "--max-len", "64"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_word_commands_load_no_class_generator(argv):
+    # dataclasses and the inspect it loads cost more than the work itself;
+    # every value class derives from words._Frozen instead
+    _, loaded = _imported_by(*argv)
     assert "nyldon.words" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_selftest_loads_no_class_generator():
+    # running the suite takes minutes, so only its import is checked
+    loaded = _loaded_after("import nyldon.acceptance")
+    assert "nyldon.acceptance" in loaded
     assert not {"dataclasses", "inspect"} & loaded
 
 
@@ -356,6 +380,17 @@ def test_circular_check(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["circular-check", "--length", "4", "--max-blocks", "2"])
     assert exc.value.code == 2
+
+
+def test_circular_check_builds_only_its_length(capsys, monkeypatch):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("circular-check generated the whole set")
+
+    monkeypatch.setattr(hallsets, "generate", no_generation)
+    code, out, _ = run_cli(capsys, "circular-check", "--length", "12")
+    assert (code, out) == (0, "circular: true (335 codewords)\n")
+    code, out, err = run_cli(capsys, "circular-check", "--length", "0")
+    assert (code, out, err) == (2, "", "error: length must be at least 1\n")
 
 
 def test_power_scan(capsys):

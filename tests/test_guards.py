@@ -90,6 +90,24 @@ def test_every_scan_stops_at_the_word_budget(monkeypatch, scan, low, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "length, message",
+    [
+        (30, "the length-30 code would visit 74248451 words (budget 2000000)"),
+        # 190 557 codewords of 22 letters, split at 21 positions each
+        (22, "circular check's split graph would hold 4001697 edges (budget 2000000)"),
+    ],
+)
+def test_fixed_length_code_refuses_before_it_generates(monkeypatch, length, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused construction started its work")
+
+    monkeypatch.setattr(analysis, "lyndon_words", no_work)
+    with pytest.raises(BudgetExceededError) as info:
+        analysis.fixed_length_code(BINARY, length)
+    assert str(info.value) == message
+
+
 class Started(Exception):
     pass
 

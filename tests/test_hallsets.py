@@ -1,6 +1,5 @@
 """Policy-generated sets and their Hall/Viennot verdicts."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -82,8 +81,8 @@ def test_verdict_does_not_depend_on_insertion_order(policy):
     # the member set happens to iterate.
     gset = generate(policy, BINARY, 8, validate=False)
     shortlex = sorted(gset.member_tuples, key=lambda t: (len(t), t))
-    forward = dataclasses.replace(gset, member_tuples=frozenset(shortlex))
-    backward = dataclasses.replace(gset, member_tuples=frozenset(shortlex[::-1]))
+    forward = oracle.GeneratedSet(BINARY, 8, policy.id, frozenset(shortlex))
+    backward = oracle.GeneratedSet(BINARY, 8, policy.id, frozenset(shortlex[::-1]))
     assert list(forward.member_tuples) != list(backward.member_tuples)
     verdict = verify_hall(forward, policy)
     assert verify_hall(backward, policy) == verdict
@@ -122,7 +121,7 @@ def test_growth_clause_names_the_least_counterexample():
     # error generate raises does not follow the member set's hash layout
     gset = generate(RLEX, BINARY, 8, validate=False)
     shortlex = sorted(gset.member_tuples, key=lambda t: (len(t), t))
-    backward = dataclasses.replace(gset, member_tuples=frozenset(shortlex[::-1]))
+    backward = oracle.GeneratedSet(BINARY, 8, RLEX.id, frozenset(shortlex[::-1]))
     check = validate_nyldon_like(gset, RLEX)
     assert validate_nyldon_like(backward, RLEX) == check
     keys = [(f.letters, g.letters) for f, g, _ in check.counterexamples]

@@ -150,12 +150,13 @@ def test_engines_agree_on_large_alphabets(letters):
 
 
 def test_growth_check_passes_under_lex():
+    assert LEX.assume_nyldon_like  # so every contraction checks fg > f > g
     for w in words_up_to(BINARY, 10):
-        factorize(w, LEX, check_growth=True)
+        factorize(w, LEX)
     for rep in lyndon_words(BINARY, 10):
         if len(rep) >= 2:
-            conjugate(rep, LEX, variant="pq", check_growth=True)
-            conjugate(rep, LEX, variant="phases", check_growth=True)
+            conjugate(rep, LEX, variant="pq")
+            conjugate(rep, LEX, variant="phases")
 
 
 def test_rlex_policy_yields_lyndon_conjugates():

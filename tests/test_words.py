@@ -21,6 +21,9 @@ from nyldon import (
     nyldon_factorize,
     words_up_to,
 )
+from nyldon import analysis, hallsets, lazard, melancon, oracle
+from nyldon.acceptance import CriterionResult
+from nyldon.order import LEX
 from nyldon.words import (
     _unchecked_word,
     duval_lyndon_factorization,
@@ -182,15 +185,37 @@ def test_factorization_word_is_linear_in_the_factors():
     assert fact.word == source and fact.verify(source)
 
 
-# The value contract of Alphabet, Word and Factorization: repr, equality,
+# The value contract of Alphabet, Word, Factorization and one record of each
+# module that builds its value classes on words._Frozen: repr, equality,
 # hashing, immutability, copying and pickling.
 FACTORIZATION = Factorization((Word.parse("1000"), Word.parse("1011010101")))
+GSET = hallsets.generate(LEX, BINARY, 5)
+CODE = [Word.parse(text) for text in ("00", "01", "10")]
 VALUES = [
     (Alphabet(12), "size"),
     (Word.parse("10011"), "letters"),
     (FACTORIZATION, "factors"),
+    (hallsets.verify_hall(GSET, LEX), "counterexamples"),
+    (lazard.lazard_report(BINARY, 5), "encoded"),
+    (GSET, "member_tuples"),
+    (analysis.circular_code_check(CODE), "witness"),
+    (CriterionResult(9, "circular codes", True, "detail", 0.25), "detail"),
 ]
-VALUE_IDS = ["Alphabet", "Word", "Factorization"]
+VALUE_IDS = [
+    "Alphabet",
+    "Word",
+    "Factorization",
+    "HallVerdict",
+    "LazardReport",
+    "GeneratedSet",
+    "CircularCodeVerdict",
+    "CriterionResult",
+]
+# records whose fields hold a dict or lists, so they compare but do not hash
+UNHASHABLE = [
+    (analysis.k_bound_scan(BINARY, 6), "histogram"),
+    (melancon.contraction_trace(Word.parse("1001"), LEX, mode="linear"), "snapshots"),
+]
 
 
 def test_value_reprs():
@@ -248,3 +273,33 @@ def test_values_equal_only_their_own_class():
     assert Alphabet(2) != 2 and FACTORIZATION != FACTORIZATION.factors
     for value, _ in VALUES:
         assert type(value).__eq__(value, object()) is NotImplemented
+
+
+@pytest.mark.parametrize("value, field", UNHASHABLE, ids=["KBoundReport", "ContractionTrace"])
+def test_records_with_mutable_fields_are_frozen_but_unhashable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(TypeError):
+        hash(value)
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert clone == value and type(clone) is type(value)
+    assert type(value).__eq__(value, object()) is NotImplemented
+
+
+def test_record_constructor_binds_fields_like_a_signature():
+    fields = (BINARY, 3, "lex", frozenset({(0,), (1,), (1, 0)}))
+    gset = oracle.GeneratedSet(*fields)
+    assert oracle.GeneratedSet(BINARY, 3, policy_id="lex", member_tuples=fields[3]) == gset
+    assert oracle.GeneratedSet(**dict(zip(oracle.GeneratedSet.__slots__, fields))) == gset
+    assert repr(gset) == (
+        "GeneratedSet(alphabet=Alphabet(size=2), max_len=3, policy_id='lex', "
+        f"member_tuples={fields[3]!r})"
+    )
+    for args, kwargs in [
+        (fields[:3], {}),  # missing
+        (fields + (None,), {}),  # extra
+        (fields, {"max_len": 3}),  # twice
+        (fields[:3], {"members": fields[3]}),  # unknown
+    ]:
+        with pytest.raises(TypeError):
+            oracle.GeneratedSet(*args, **kwargs)

@@ -5,8 +5,9 @@ lexicographically nondecreasing shorter Nyldon words; every other word
 factors that way uniquely. The package provides:
 
 - exact brute-force oracles straight from the definitions (`oracle`),
-- a linear-time right-to-left stack factorizer whose factor comparisons
-  touch only the letters the shorter factor spans (`fastfactor`),
+- a right-to-left stack factorizer with at most 2|w| - 1 factor
+  comparisons, each touching only the letters the shorter factor spans
+  (`fastfactor`),
 - the circular contraction algorithm that finds the unique member
   rotation of a primitive word, plus its linear factorization variant,
   generic over order policies (`melancon`),

@@ -1,5 +1,6 @@
 """Stack factorizer: oracle agreement, comparison bound, comparator correctness."""
 
+import math
 import pickle
 import random
 
@@ -204,3 +205,140 @@ def test_runs_of_equal_factors_hold_one_word(letters, factors):
     loaded = pickle.loads(pickle.dumps(f))
     assert loaded == f
     assert hash(loaded) == hash(f)
+
+
+# The benchmark's nine word families (perfbench/inputs.py), copied so that the
+# tests do not import the benchmark.
+def _fibonacci(n, rng):
+    a, b = [1], [1, 0]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _growing_blocks(n, rng):
+    out = []
+    k = 1
+    while len(out) < n:
+        out += [1] + [0] * k
+        k += 1
+    return out[:n]
+
+
+FAMILIES = {
+    "random": lambda n, rng: [rng.randrange(2) for _ in range(n)],
+    "one_zeros": lambda n, rng: [1] + [0] * (n - 1),
+    "zeros_one": lambda n, rng: [0] * (n - 1) + [1],
+    "alternating": lambda n, rng: [1, 0] * (n // 2),
+    "fibonacci": _fibonacci,
+    "thue_morse": lambda n, rng: [bin(i).count("1") & 1 for i in range(n)],
+    "sparse": lambda n, rng: ([1] + [0] * 99) * (n // 100),
+    "ones_zero": lambda n, rng: [1] * (n - 1) + [0],
+    "growing_blocks": _growing_blocks,
+}
+
+
+def _family(name, n):
+    return tuple(FAMILIES[name](n, random.Random(1)))
+
+
+def _wide(t):
+    """The same word over letters 256 and 299: same order, tuple storage."""
+    return tuple(256 + 43 * x for x in t)
+
+
+def test_factor_ranges_of_the_empty_word():
+    assert factor_ranges(()) == ([], 0)
+    assert factor_ranges(()) == _slice_stack_ranges(())
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["bytes", "tuple"])
+@pytest.mark.parametrize(
+    "text, factors",
+    [
+        # u = 10 is a proper prefix of v = 100: the tie stops the loop
+        ("10100", ["10", "100"]),
+        # v = 10 is a proper prefix of u = 100: the tie merges
+        ("10010", ["10010"]),
+        # u = v = 10: the tie stops the loop
+        ("1010", ["10", "10"]),
+        # the same three after longer merges
+        ("1001010010", ["10010", "10010"]),
+        ("100101001010", ["10010", "1001010"]),
+        ("10010101001", ["10010101001"]),
+    ],
+)
+def test_ties_after_a_merge(text, factors, wide):
+    t = tuple(map(int, text))
+    if wide:
+        t = _wide(t)
+    ranges, comparisons = factor_ranges(t)
+    assert [b - a for a, b in ranges] == [len(f) for f in factors]
+    assert (ranges, comparisons) == _slice_stack_ranges(t)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["bytes", "tuple"])
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_factor_ranges_match_slice_stack_on_benchmark_families(name, wide):
+    t = _family(name, 2000)
+    if wide:
+        t = _wide(t)
+    assert factor_ranges(t) == _slice_stack_ranges(t)
+
+
+def _counting_stack_ranges(t):
+    """factor_ranges' loop, counting its comparisons where they happen and
+    the letters its tie slices copy from each factor."""
+    n = len(t)
+    if not n:
+        return [], 0, 0
+    ends = [n]
+    comparisons = copied = 0
+    for a1 in range(n - 2, -1, -1):
+        first = t[a1]
+        b1 = a1 + 1
+        comparisons += 1
+        if first <= t[b1]:
+            ends.append(b1)
+            continue
+        b1 = ends.pop()
+        while ends:
+            comparisons += 1
+            other = t[b1]
+            if first < other:
+                break
+            if first == other:
+                end = ends[-1]
+                size = b1 - a1
+                if size <= end - b1:
+                    copied += size
+                    if t[a1:b1] <= t[b1 : b1 + size]:
+                        break
+                else:
+                    copied += end - b1
+                    if t[a1 : a1 + end - b1] < t[b1:end]:
+                        break
+            b1 = ends.pop()
+        ends.append(b1)
+    ends.reverse()
+    return list(zip([0] + ends[:-1], ends)), comparisons, copied
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue_morse", "random"])
+def test_tie_letters_stay_within_n_log_n(name):
+    # The comparison bound is proven. The letters the tie slices copy have
+    # no n log n bound in general (see the fastfactor docstring); on these
+    # words they measure 0.5-0.8 n log2 n.
+    for n in (1000, 4000, 16000):
+        t = _family(name, n)
+        ranges, comparisons, copied = _counting_stack_ranges(t)
+        assert (ranges, comparisons) == factor_ranges(t)
+        assert 0 < copied <= n * math.log2(n), (n, copied)
+
+
+@pytest.mark.parametrize("name", ["zeros_one", "ones_zero", "one_zeros"])
+def test_first_letter_decides_every_comparison_on_runs(name):
+    t = _family(name, 16000)
+    ranges, comparisons, copied = _counting_stack_ranges(t)
+    assert (ranges, comparisons) == factor_ranges(t)
+    assert copied == 0

@@ -30,6 +30,7 @@ from typing import Collection, Iterable, Sequence
 from . import fastfactor, melancon
 from .errors import DEFAULT_WORD_BUDGET, InvariantError, NotPrimitiveError
 from .errors import check_budget, check_word_budget
+from .oracle import primitive_necklace_count
 from .words import Alphabet, Word, _Frozen, is_primitive, lyndon_words, minimal_period
 
 
@@ -154,10 +155,10 @@ def fixed_length_code(alphabet: Alphabet, length: int) -> list[Word]:
     too large to check is refused before it is built."""
     if length < 1:
         raise ValueError("length must be at least 1")
-    counts = _lyndon_counts(alphabet.size, length)
+    counts = [primitive_necklace_count(alphabet.size, n) for n in range(1, length + 1)]
     what = "the length-{} code would visit"
     check_budget(sum(counts), DEFAULT_WORD_BUDGET, what, length)
-    _check_split_graph(counts[length] * (length - 1), DEFAULT_WORD_BUDGET)
+    _check_split_graph(counts[-1] * (length - 1), DEFAULT_WORD_BUDGET)
     reps = (w for w in lyndon_words(alphabet, length) if len(w) == length)
     return sorted(melancon.conjugate(w) for w in reps)
 
@@ -284,19 +285,6 @@ def _workers(jobs: int, tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, tasks)
 
 
-def _lyndon_counts(size: int, max_len: int) -> list[int]:
-    """The number L(n) of Lyndon words of each length n = 0..max_len over
-    `size` letters (L(0) = 0). Each word of length n is u^(n/d) for one
-    primitive word u of length d | n, and the primitive words of length d are
-    the d rotations of each of the L(d) Lyndon words, so size^n = sum of
-    d * L(d) over those d."""
-    counts = [0] * (max_len + 1)
-    for n in range(1, max_len + 1):
-        proper = sum(d * counts[d] for d in range(1, n) if n % d == 0)
-        counts[n] = (size**n - proper) // n
-    return counts
-
-
 def k_bound_scan(
     alphabet: Alphabet,
     max_len: int,
@@ -316,7 +304,7 @@ def k_bound_scan(
         raise ValueError("k must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    classes = sum(_lyndon_counts(alphabet.size, max_len))
+    classes = sum(primitive_necklace_count(alphabet.size, n) for n in range(1, max_len + 1))
     check_budget(classes, DEFAULT_WORD_BUDGET, "power scan would profile")
 
     reps = [w.letters for w in lyndon_words(alphabet, max_len)]

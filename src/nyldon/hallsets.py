@@ -18,7 +18,6 @@ member (all within the truncation bound):
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from . import melancon, oracle
@@ -162,17 +161,21 @@ def verify_factorization_property(
     budget: int | None = DEFAULT_WORD_BUDGET,
 ) -> FactorizationCheck:
     """Every word of length <= test_len has exactly one nondecreasing
-    factorization into members (a lone member is its own one factor)."""
+    factorization into members (a lone member is its own one factor); the
+    witness of a failure is the shortlex-least word without one.
+
+    One `oracle.parse_sweep` visits every word once, at O(t) member lookups
+    for a word of length t."""
     test_len = gset.max_len if test_len is None else test_len
     if test_len > gset.max_len:
         raise ValueError("test_len exceeds the set's max_len")
     check_word_budget("sweep", gset.alphabet.size, test_len, budget)
     policy = policy or get_policy(gset.policy_id)
-    for n in range(1, test_len + 1):
-        for tup in itertools.product(range(gset.alphabet.size), repeat=n):
-            count = oracle.parse_count(tup, gset.member_tuples, policy.compare)
-            if count != 1:
-                return FactorizationCheck(False, Word(tup, gset.alphabet), count)
+    for tup, count in oracle.parse_sweep(
+        gset.alphabet.size, test_len, gset.member_tuples, policy.compare,
+        lambda count: count != 1, least=True,
+    ):
+        return FactorizationCheck(False, Word(tup, gset.alphabet), count)
     return FactorizationCheck(True, None, None)
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable
 
@@ -281,8 +280,12 @@ def materialize_y(
 def code_check(
     words: Iterable[Word], max_len: int, budget: int | None = DEFAULT_WORD_BUDGET
 ) -> CodeCheck:
-    """Unique decodability: no word of length <= max_len parses two ways."""
-    from .oracle import parse_count
+    """Unique decodability: no word of length <= max_len parses two ways;
+    the witness of a failure is the shortlex-least word that does.
+
+    One `oracle.parse_sweep` visits every word once, at O(t) codeword
+    lookups for a word of length t."""
+    from .oracle import parse_sweep
 
     pool = sorted(set(words))
     if not pool:
@@ -296,11 +299,10 @@ def code_check(
     codewords = frozenset(w.letters for w in pool)
 
     check_word_budget("decodability sweep", alphabet.size, max_len, budget)
-    for n in range(1, max_len + 1):
-        for tup in itertools.product(range(alphabet.size), repeat=n):
-            count = parse_count(tup, codewords)
-            if count > 1:
-                return CodeCheck(False, Word(tup, alphabet), count)
+    for tup, count in parse_sweep(
+        alphabet.size, max_len, codewords, None, lambda count: count > 1, least=True
+    ):
+        return CodeCheck(False, Word(tup, alphabet), count)
     return CodeCheck(True, None, None)
 
 

@@ -9,15 +9,18 @@ Membership and tail-factorization results are memoized on raw letter tuples in
 module-level caches, which makes exhaustive sweeps over all short words cheap:
 every substring seen is itself a short word that other sweep entries share.
 
-`parse_count` counts the parses of a word into an explicit set, optionally
-nondecreasing under an order. It is the one parse-count DP: membership in a
-generated set (no parse into smaller members), unique factorization (one
-nondecreasing parse, `hallsets`) and unique decodability (`lazard`) use it.
+The one parse-count DP is one step, `_parse_row`: the parses of a word into
+an explicit set (nondecreasing under an order, if one is given) that end at
+its last letter, from the same rows of its proper prefixes. `parse_count`
+folds it over one word, for membership in a generated set. `parse_sweep`
+walks every word up to a length depth first with one row per prefix on a
+stack, so a word of length t costs O(t) member lookups instead of O(t^2);
+unique factorization (`hallsets`), unique decodability (`lazard`) and
+`enumerate_members` use it.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
@@ -180,6 +183,29 @@ class GeneratedSet(_Frozen):
         return cls(alphabet, header["max_len"], header["policy_id"], tuples)
 
 
+def _parse_row(rows, letters, members, compare):
+    """The parses of letters[:t] into `members` that end at letter t, where
+    t = len(rows) and rows[i] holds those of letters[:i]: one (last factor,
+    number of parses) pair per member letters[i:t] that extends a parse of
+    letters[:i], nondecreasingly when `compare` is given. The empty prefix's
+    row is [(None, 1)]."""
+    t = len(rows)
+    row = []
+    i = 0
+    for parses in rows:
+        if parses:
+            factor = letters[i:t]
+            if factor in members:
+                count = 0
+                for last, c in parses:
+                    if last is None or compare is None or compare(factor, last) >= 0:
+                        count += c
+                if count:
+                    row.append((factor, count))
+        i += 1
+    return row
+
+
 def parse_count(
     letters: tuple[int, ...],
     members: frozenset[tuple[int, ...]],
@@ -191,25 +217,52 @@ def parse_count(
     factor compares >= 0 against the one before it. Without it this counts
     the parses of `letters` into the code `members`.
     """
-    n = len(letters)
-    # ends[pos]: (last factor, number of parses) for each way a parse of
-    # letters[:pos] can end; the empty prefix has no last factor. Only the
-    # reachable prefixes get an entry, and each is dropped once extended.
-    ends: dict[int, list[tuple[tuple[int, ...] | None, int]]] = {0: [(None, 1)]}
-    for pos in range(n):
-        parses = ends.pop(pos, None)
-        if parses is None:
-            continue
-        for t in range(pos + 1, n + 1):
-            factor = letters[pos:t]
-            if factor in members:
-                count = 0
-                for last, c in parses:
-                    if last is None or compare is None or compare(factor, last) >= 0:
-                        count += c
-                if count:
-                    ends.setdefault(t, []).append((factor, count))
-    return sum(c for _, c in ends.get(n, ()))
+    rows = [[(None, 1)]]
+    for _ in letters:
+        rows.append(_parse_row(rows, letters, members, compare))
+    return sum(c for _, c in rows[-1])
+
+
+def parse_sweep(
+    alphabet_size: int,
+    max_len: int,
+    members: frozenset[tuple[int, ...]],
+    compare: Callable[[tuple[int, ...], tuple[int, ...]], int] | None,
+    fails: Callable[[int], bool],
+    least: bool = False,
+) -> list[tuple[tuple[int, ...], int]]:
+    """The words of length 1..max_len whose `parse_count` `fails`, each with
+    its count, in lex order within a length; the caller checks the budget.
+
+    The walk is depth first with the rows of the word's prefixes on a stack,
+    so each word costs one `_parse_row` step. With `least`, only the
+    shortlex-least failing word is returned: the walk meets the words of one
+    length in lex order, so after a failure of length L it visits only
+    shorter words.
+    """
+    rows = [[(None, 1)]]  # the rows of `word` and its prefixes
+    found: list[tuple[tuple[int, ...], int]] = []
+    limit = max_len  # the longest word still worth visiting
+
+    def extend(word: tuple[int, ...]) -> None:
+        nonlocal limit
+        for c in range(alphabet_size):
+            child = word + (c,)
+            row = _parse_row(rows, child, members, compare)
+            count = sum(n for _, n in row)
+            if fails(count):
+                found.append((child, count))
+                if least:  # the siblings after child are greater
+                    limit = len(word)
+                    return
+            if len(child) < limit:
+                rows.append(row)
+                extend(child)
+                rows.pop()
+
+    if max_len >= 1:
+        extend(())
+    return found[-1:] if least else found
 
 
 def is_member_bruteforce(word: Word, gset: GeneratedSet) -> bool:
@@ -234,16 +287,20 @@ def enumerate_members(
     policy: OrderPolicy,
     budget: int | None = DEFAULT_WORD_BUDGET,
 ) -> GeneratedSet:
-    """Generate the set length by length, straight from the definition."""
+    """Generate the set length by length, straight from the definition:
+    length n takes one `parse_sweep` to depth n against the shorter members,
+    and the words it finds with no parse are the members of length n (each
+    shorter word has one: itself, or the parse that excluded it). The sweeps
+    visit about s/(s - 1) times the words up to max_len over s letters."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     check_word_budget("enumeration", alphabet.size, max_len, budget)
     members: set[tuple[int, ...]] = {(c,) for c in range(alphabet.size)}
     for n in range(2, max_len + 1):
-        frozen = frozenset(members)
-        for tup in itertools.product(range(alphabet.size), repeat=n):
-            if parse_count(tup, frozen, policy.compare) == 0:
-                members.add(tup)
+        found = parse_sweep(
+            alphabet.size, n, frozenset(members), policy.compare, lambda c: c == 0
+        )
+        members.update(word for word, _ in found)
     return GeneratedSet(alphabet, max_len, policy.id, frozenset(members))
 
 

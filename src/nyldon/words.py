@@ -90,9 +90,6 @@ class Alphabet(_Frozen):
         # generic one made lazard_run(BINARY, 13) about 50% slower
         return hash((self.size,))
 
-    def letters(self) -> list[Word]:
-        return [Word((c,), self) for c in range(self.size)]
-
     def render(self, letters: tuple[int, ...]) -> str:
         if self.size <= 10:
             return "".join(str(c) for c in letters)

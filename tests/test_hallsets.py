@@ -145,6 +145,11 @@ def test_factorization_failure_names_witness_and_count():
     gset = oracle.GeneratedSet(BINARY, 3, "lex", frozenset(words))
     check = verify_factorization_property(gset, LEX)
     assert check == FactorizationCheck(False, Word.parse("00"), 2)
+    # depth first meets 001 = (0)(0)(1) = (001) before 10, which has no
+    # nondecreasing parse; the witness is the shortlex-least of the two
+    gset = oracle.GeneratedSet(BINARY, 3, "lex", frozenset({(0,), (1,), (0, 0, 1)}))
+    check = verify_factorization_property(gset, LEX)
+    assert check == FactorizationCheck(False, Word.parse("10"), 0)
 
 
 def test_custom_policy_roundtrip():

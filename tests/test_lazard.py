@@ -248,6 +248,10 @@ def test_code_check_witness():
     assert verdict.count == 2
     good = [Word.parse(t) for t in ("1", "10")]
     assert code_check(good, 6)
+    # depth first meets 001 = (0)(0)(1) = (001) before 10 = (1)(0) = (10);
+    # the witness is the shortlex-least of the two
+    verdict = code_check([Word.parse(t) for t in ("0", "1", "001", "10")], 3)
+    assert (str(verdict.witness), verdict.count) == ("10", 2)
 
 
 def test_largest_member_upto():

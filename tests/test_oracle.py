@@ -24,7 +24,7 @@ from nyldon import (
 )
 from nyldon.acceptance import TABLE1_COUNTS, TABLE1_WORDS
 from nyldon.hallsets import verify_factorization_property
-from nyldon.oracle import parse_count
+from nyldon.oracle import parse_count, parse_sweep
 from nyldon.order import RLEX
 from nyldon.words import is_lyndon
 
@@ -106,6 +106,24 @@ def test_enumerate_members_rlex_gives_lyndon_like_set():
     assert not is_member_bruteforce(Word.parse("0101"), gset)
 
 
+def _lyndon_counts(size, max_len):
+    """L(n) for n = 0..max_len by the divisor recurrence: each word of length
+    n is u^(n/d) for one primitive u of length d | n, and the primitive words
+    of length d are the d rotations of each of the L(d) Lyndon words, so
+    size^n is the sum of d * L(d) over those d."""
+    counts = [0] * (max_len + 1)
+    for n in range(1, max_len + 1):
+        proper = sum(d * counts[d] for d in range(1, n) if n % d == 0)
+        counts[n] = (size**n - proper) // n
+    return counts
+
+
+def test_necklace_count_matches_divisor_recurrence():
+    for size in (2, 3, 4, 5):
+        expected = _lyndon_counts(size, 30)[1:]
+        assert [primitive_necklace_count(size, n) for n in range(1, 31)] == expected
+
+
 def test_counts_reference():
     assert [
         TABLE1_COUNTS[n - 1] for n in range(1, 8)
@@ -165,16 +183,31 @@ _LEX8 = generate(LEX, BINARY, 8).member_tuples
 
 
 @st.composite
-def words_and_members(draw):
+def member_sets(draw):
+    """An alphabet size and a member set over it: random, or a fixed binary
+    set that is not a code, or the lex members up to length 8."""
     kind = draw(st.sampled_from(["random", "non-code", "lex8"]))
-    size = draw(st.sampled_from([2, 3])) if kind == "random" else 2
-    if kind == "random":
-        pool = [t for n in (1, 2, 3) for t in itertools.product(range(size), repeat=n)]
-        members = frozenset(draw(st.sets(st.sampled_from(pool))))
-    else:
-        members = _NON_CODE if kind == "non-code" else _LEX8
+    if kind != "random":
+        return 2, _NON_CODE if kind == "non-code" else _LEX8
+    size = draw(st.sampled_from([2, 3]))
+    pool = [t for n in (1, 2, 3) for t in itertools.product(range(size), repeat=n)]
+    return size, frozenset(draw(st.sets(st.sampled_from(pool))))
+
+
+@st.composite
+def words_and_members(draw):
+    size, members = draw(member_sets())
     letters = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=9))
     return tuple(letters), members
+
+
+def _colex(u, v):
+    """The `colex-test` order of tests/test_hallsets.py: reversed tuples in
+    lex order."""
+    ru, rv = u[::-1], v[::-1]
+    if ru == rv:
+        return 0
+    return -1 if ru < rv else 1
 
 
 @pytest.mark.parametrize(
@@ -186,6 +219,31 @@ def test_parse_count_matches_every_cut(compare, case):
     letters, members = case
     expected = _parse_count_bruteforce(letters, members, compare)
     assert parse_count(letters, members, compare) == expected
+
+
+@pytest.mark.parametrize(
+    "compare",
+    [None, LEX.compare, RLEX.compare, _colex],
+    ids=["none", "lex", "rlex", "colex"],
+)
+@settings(max_examples=25)
+@given(member_sets())
+def test_sweep_counts_match_every_cut(compare, case):
+    size, members = case
+    bound = 6 if size == 2 else 4
+    assert parse_sweep(size, 0, members, compare, lambda count: True) == []
+    swept = parse_sweep(size, bound, members, compare, lambda count: True)
+    words = [word for word, _ in swept]
+    # every word once, in lex order within a length (the sort is stable)
+    every = [t for n in range(1, bound + 1) for t in itertools.product(range(size), repeat=n)]
+    assert sorted(words, key=len) == every
+    for word, count in swept:
+        assert count == _parse_count_bruteforce(word, members, compare)
+        assert count == parse_count(word, members, compare)
+    # with least=True, the shortlex-least failure of each predicate
+    for fails in (lambda c: c != 1, lambda c: c > 1, lambda c: c == 0):
+        failures = sorted(((w, c) for w, c in swept if fails(c)), key=lambda f: len(f[0]))
+        assert parse_sweep(size, bound, members, compare, fails, least=True) == failures[:1]
 
 
 @pytest.mark.parametrize(

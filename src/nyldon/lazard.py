@@ -7,13 +7,14 @@ enumerates the members in increasing lexicographic order; the run stops when
 the working set is reduced to a single word.
 
 One driver runs the procedure, over byte-encoded words (letter tuples for
-alphabets above 256 letters) with a heap and a per-length index, so that
-bounds around 20 letters complete quickly. `lazard_report` streams it and keeps
-only the removed words, encoded as `_eliminate` holds them; its `chosen` Words
-are built on the first read, so a caller that needs only the summary builds
-one Word, the stop word. `lazard_run` adds a per-step snapshot of the working
-set, built from the previous snapshot minus the removed word plus the words
-the driver reports as added, so each word is converted and hashed once.
+alphabets above 256 letters). Its working set is one set per length, beside
+a heap of the words added, so that bounds around 20 letters complete
+quickly. `lazard_report` streams it and keeps only the removed words, encoded
+as `_eliminate` holds them; its `chosen` Words are built on the first read,
+so a caller that needs only the summary builds one Word, the stop word.
+`lazard_run` adds a per-step snapshot of the working set, built from the
+previous snapshot minus the removed word plus the words the driver reports
+as added, so each word is converted and hashed once.
 `materialize_y` replays a removal history through the same elimination step.
 The driver checks the words it holds against the word budget after every step
 that adds some, so all three stop at the step where a run outgrows it.
@@ -29,8 +30,7 @@ undercounts).
 from __future__ import annotations
 
 import bisect
-import heapq
-from collections import defaultdict
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_WORD_BUDGET, InvariantError
@@ -109,39 +109,57 @@ def _eliminate(
 ):
     """The procedure truncated at n, over words encoded by `_encoder`.
 
-    Each step removes the least word u of the working set, or the next word
-    of `history` up to length n when one is given, then adds every x u^j
-    (j >= 1) that fits under the bound. `on_step(step, u, current, added)` is
-    called before each removal, with the words added since the previous call
-    (the letters at step 1), so a caller can follow the working set as the
-    previous one minus the removed word plus `added`. Returns the removed
-    words, the finishing step (the last step at which a word first appears)
-    and the final working set. Raises BudgetExceededError once the words seen
-    (removed or present) exceed `budget`, naming the step.
+    The working set is held as one set per length, `by_len[length]`, beside
+    a heap of every word ever added. Each step removes the least word u of
+    the working set, or the next word of `history` up to length n when one
+    is given, then adds every x u^j (j >= 1) that fits under the bound.
+    `on_step(step, u, present, added)` is called before each removal, with
+    the number of words in the working set and the words added since the
+    previous call (the letters at step 1), so a caller can follow the working
+    set as the previous one minus the removed word plus `added`. Returns the
+    removed words, the finishing step (the last step at which a word first
+    appears) and the final working set. Raises BudgetExceededError once the
+    words seen (removed or present) exceed `budget`, naming the step.
+
+    Without a history the removed words are not kept. There u is the least
+    word present, so every x present is greater than u and, being greater,
+    not a prefix of it; hence x u^j > u, while every word removed so far is
+    at most u. An extension at most u would be a removed word coming back,
+    and raises InvariantError. A history may remove words in any order, and
+    a replay at a larger bound meets extensions below u legitimately, so
+    that mode keeps the removed words and checks against them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     encode = _encoder(alphabet)
-    current = {encode((c,)) for c in range(alphabet.size)}
-    seen, heap = set(current), sorted(current)
-    by_len: dict[int, set] = defaultdict(set, {1: set(current)})
-    if history is None:  # pop the least word until the heap runs dry
-        removals = iter(lambda: heapq.heappop(heap) if heap else None, None)
+    # the words added since the last on_step call: the letters at step 1
+    added = [encode((c,)) for c in range(alphabet.size)]
+    by_len = [set() for _ in range(n + 1)]
+    by_len[1].update(added)
+    heap = list(added)  # the encoding keeps the letters in order
+    if history is None:
+        def pops():  # the least word, until the heap runs dry
+            while heap:
+                yield heappop(heap)
+        removals, removed = pops(), None
     else:
         removals = (encode(u.letters) for u in history if len(u) <= n)
+        removed = set()
     chosen: list = []
     finishing = 1
-    added = list(current)  # words added since the last on_step call
+    present = len(added)
     for step, u in enumerate(removals, 1):
         if on_step is not None:
-            on_step(step, u, current, added)
-        if u not in current:
+            on_step(step, u, present, added)
+        try:
+            by_len[len(u)].remove(u)
+        except KeyError:
             raise InvariantError(
                 f"history removes {Word(tuple(u), alphabet)}, which is not present"
-            )
+            ) from None
+        if removed is not None:
+            removed.add(u)
         room = n - len(u)  # the longest word that u can still extend
-        current.remove(u)
-        by_len[len(u)].remove(u)
         chosen.append(u)
         added = []
         # Longest x first: an extension is longer than its x, so each length
@@ -151,24 +169,25 @@ def _eliminate(
                 ext = x
                 while len(ext) <= room:
                     ext = ext + u
-                    if ext in seen:
-                        if ext in current:
-                            continue  # set semantics: the extension exists
+                    bucket = by_len[len(ext)]
+                    if ext in bucket:
+                        continue  # set semantics: the extension exists
+                    if ext <= u if removed is None else ext in removed:
                         raise InvariantError(
                             f"removed word {Word(tuple(ext), alphabet)} was "
                             f"regenerated at step {step + 1}"
                         )
-                    seen.add(ext)
-                    current.add(ext)
-                    by_len[len(ext)].add(ext)
-                    heapq.heappush(heap, ext)
+                    bucket.add(ext)
+                    heappush(heap, ext)
                     added.append(ext)
+        present += len(added) - 1
         if added:
             finishing = step + 1
             check_budget(
-                len(seen), budget, "the run truncated at {} holds, at step {},", n, step
+                step + present, budget,
+                "the run truncated at {} holds, at step {},", n, step,
             )
-    return chosen, finishing, current
+    return chosen, finishing, set().union(*by_len)
 
 
 def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
@@ -186,9 +205,9 @@ def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
     states: list[LazardState] = []
     held = 0
 
-    def snapshot(step: int, u, current: set, added: list) -> None:
+    def snapshot(step: int, u, present: int, added: list) -> None:
         nonlocal held
-        held += len(current) + len(chosen)
+        held += present + len(chosen)
         what = "the snapshots of the run truncated at {} hold, at step {},"
         check_budget(held, DEFAULT_WORD_BUDGET, what, n, step)
         if chosen:
@@ -311,16 +330,6 @@ def lazard_code_check(
 ) -> CodeCheck:
     """Unique decodability of the step's working set, truncated at max_len."""
     return code_check(materialize_y(state, max_len), max_len, budget=budget)
-
-
-def largest_member_upto(alphabet: Alphabet, length: int) -> Word:
-    """Lexicographically greatest member among all lengths <= length."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    m = alphabet.size - 1
-    if length == 1:
-        return Word((m,), alphabet)
-    return Word((m, m - 1) + (m,) * (length - 2), alphabet)
 
 
 def predicted_stop_word(alphabet: Alphabet, length: int) -> Word:

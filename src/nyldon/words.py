@@ -209,14 +209,6 @@ def _unchecked_word(letters: tuple[int, ...], alphabet: Alphabet) -> Word:
     return w
 
 
-def lex_compare(u: Word, v: Word) -> int:
-    """Three-way lexicographic comparison: -1, 0 or 1."""
-    u._check_same_alphabet(v)
-    if u.letters == v.letters:
-        return 0
-    return -1 if u.letters < v.letters else 1
-
-
 class Factorization(_Frozen):
     """A tuple of factors plus the order they are claimed to satisfy.
 

@@ -48,6 +48,17 @@ def test_import_does_not_load_numpy():
     assert "numpy" not in _loaded_after("import nyldon")
 
 
+def test_benchmark_setup_imports_only_words_and_errors():
+    # the benchmark's set-up time covers exactly this import, so changes to
+    # lazard, analysis and the rest cannot move it
+    loaded = _loaded_after("import nyldon; from nyldon import BINARY, Word, is_primitive")
+    assert {m for m in loaded if m.split(".")[0] == "nyldon"} == {
+        "nyldon",
+        "nyldon.errors",
+        "nyldon.words",
+    }
+
+
 def test_cli_import_loads_no_subcommand_module():
     # only --jobs > 1, --kraft and --json need these; each subcommand
     # imports what it runs

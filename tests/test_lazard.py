@@ -1,5 +1,6 @@
 """Elimination procedure: reference table, reports, code sums, predictions."""
 
+import heapq
 import pickle
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from nyldon import (
 )
 from nyldon.acceptance import TABLE2_ROWS
 from nyldon.errors import DEFAULT_WORD_BUDGET
-from nyldon.lazard import kraft_counts, largest_member_upto
+from nyldon.lazard import kraft_counts
 
 
 def test_reference_rows_and_chosen_words():
@@ -46,6 +47,86 @@ def test_chosen_words_are_sorted_members(binary10, ternary6):
         for n in lengths:
             chosen = [st.chosen_word for st in lazard_run(alphabet, n)]
             assert chosen == sorted(w for w in members.words() if len(w) <= n)
+
+
+def _reference_elimination(size: int, n: int):
+    """The procedure by its definition, on a plain set of letter tuples:
+    Y <- (Y minus {u}) u*, truncated at n, with u = min Y. Yields u and the
+    live Y before each removal. Shares no code with `lazard._eliminate`."""
+    y = {(c,) for c in range(size)}
+    heap = sorted(y)  # the words of Y, to read min Y from
+    while heap:
+        u = heapq.heappop(heap)
+        yield u, y
+        y.remove(u)
+        if len(u) == n:
+            continue  # no extension fits; spares a scan of Y per step
+        new = {
+            x + u * j
+            for x in y
+            if len(x) + len(u) <= n
+            for j in range(1, (n - len(x)) // len(u) + 1)
+        } - y
+        y |= new
+        for w in new:
+            heapq.heappush(heap, w)
+
+
+def _reference_finishing_step(size: int, n: int) -> tuple[list, int]:
+    """The removal order, and the least step whose removed-so-far words and
+    Y cover every word the run removes."""
+    order = [u for u, _ in _reference_elimination(size, n)]
+    uncovered = set(order)  # the run's output minus the words removed so far
+    for step, (u, y) in enumerate(_reference_elimination(size, n), 1):
+        if uncovered <= y:
+            return order, step
+        uncovered.remove(u)
+    raise AssertionError("a complete run covers its own output")
+
+
+@pytest.mark.parametrize(
+    "alphabet, lengths",
+    [(BINARY, range(1, 11)), (TERNARY, range(1, 7)), (Alphabet(257), (2,))],
+    ids=["binary", "ternary", "257"],
+)
+def test_report_matches_the_reference_elimination(alphabet, lengths):
+    for n in lengths:
+        order, fs = _reference_finishing_step(alphabet.size, n)
+        report = lazard_report(alphabet, n)
+        assert [tuple(u) for u in report.encoded] == order
+        assert report.finishing_step == fs
+
+
+def test_snapshots_match_the_reference_elimination():
+    for alphabet, lengths in ((BINARY, range(1, 11)), (TERNARY, range(1, 7))):
+        for n in lengths:
+            states = lazard_run(alphabet, n)
+            reference = _reference_elimination(alphabet.size, n)
+            for st, (u, y) in zip(states, reference, strict=True):
+                assert st.chosen_word.letters == u
+                assert {w.letters for w in st.current} == y
+
+
+def test_budget_stops_where_the_reference_outgrows_it():
+    # held[s]: the removed-plus-present words after step s, for s from 0 up
+    # to the last step K exclusive; step K removes the one word left, so the
+    # count stays put
+    held = [
+        step - 1 + len(y)
+        for step, (_, y) in enumerate(_reference_elimination(2, 10), 1)
+    ]
+    assert max(held) == len(held) == 226  # budgets from 226 on let it finish
+    for budget in range(2, 301):
+        step = next((s for s in range(1, len(held)) if held[s] > budget), None)
+        if step is None:
+            assert len(lazard._eliminate(BINARY, 10, budget)[0]) == 226
+            continue
+        with pytest.raises(BudgetExceededError) as excinfo:
+            lazard._eliminate(BINARY, 10, budget)
+        assert str(excinfo.value) == (
+            f"the run truncated at 10 holds, at step {step}, {held[step]} "
+            f"words (budget {budget})"
+        )
 
 
 def test_report_agrees_with_state_replay():
@@ -252,15 +333,6 @@ def test_code_check_witness():
     # the witness is the shortlex-least of the two
     verdict = code_check([Word.parse(t) for t in ("0", "1", "001", "10")], 3)
     assert (str(verdict.witness), verdict.count) == ("10", 2)
-
-
-def test_largest_member_upto():
-    assert str(largest_member_upto(BINARY, 1)) == "1"
-    assert str(largest_member_upto(BINARY, 7)) == "1011111"
-    assert str(largest_member_upto(TERNARY, 4)) == "2122"
-    # it really is the lex-greatest member within the bound
-    top = max(enumerate_nyldon(BINARY, 9).words())
-    assert top == largest_member_upto(BINARY, 9)
 
 
 def test_ternary_run_smoke():

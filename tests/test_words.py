@@ -27,7 +27,6 @@ from nyldon.order import LEX
 from nyldon.words import (
     _unchecked_word,
     duval_lyndon_factorization,
-    lex_compare,
     minimal_period,
     minimal_period_length,
 )
@@ -86,24 +85,23 @@ def test_alphabet_mismatch():
     for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
         with pytest.raises(AlphabetMismatchError):
             getattr(Word.parse("1"), compare)(Word.parse("1", TERNARY))
-    with pytest.raises(AlphabetMismatchError):
-        lex_compare(Word.parse("1"), Word.parse("1", TERNARY))
     assert Word.parse("1") != Word.parse("1", TERNARY)
 
 
 def test_prefix_sorts_before_extension():
     assert Word.parse("10") < Word.parse("100")
     assert Word.parse("10") < Word.parse("101")
-    assert lex_compare(Word.parse("10"), Word.parse("100")) == -1
-    assert lex_compare(Word.parse("10"), Word.parse("10")) == 0
+    ten = Word.parse("10")
+    assert ten <= ten and not ten < ten
 
 
 @given(word_st, word_st, word_st)
 def test_lex_is_a_total_order(u, v, w):
-    assert lex_compare(u, v) == -lex_compare(v, u)
-    if lex_compare(u, v) <= 0 and lex_compare(v, w) <= 0:
-        assert lex_compare(u, w) <= 0
-    assert (lex_compare(u, v) == 0) == (u.letters == v.letters)
+    assert (u < v) == (v > u) and (u <= v) == (v >= u)
+    assert (u < v) + (u == v) + (u > v) == 1
+    if u <= v and v <= w:
+        assert u <= w
+    assert (u == v) == (u.letters == v.letters)
 
 
 @given(word_st, st.integers(1, 5))

@@ -8,7 +8,10 @@ Three families of checks live here:
   cycle;
 * power profiling: the factorization of w^k splits into a prefix, a maximal
   central run of copies of w's distinguished conjugate, and a suffix; the
-  deficit K = k - central_copies is bounded by floor(log2 |w|) + 1;
+  deficit K = k - central_copies is bounded by floor(log2 |w|) + 1. The
+  bound scan profiles each class at k, k+1 and k+2 from one stack scan of
+  w^(k+2), whose suffix snapshots are the factorizations of w^k and w^(k+1),
+  and `power_profile` and the scan locate the run with one helper;
 * a suffix criterion for Lyndon words: any word lexicographically smaller
   than all of its Lyndon proper suffixes is itself Lyndon.
 
@@ -24,14 +27,15 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import product
+from itertools import groupby, product
 from typing import Collection, Iterable, Sequence
 
 from . import fastfactor, melancon
 from .errors import DEFAULT_WORD_BUDGET, InvariantError, NotPrimitiveError
 from .errors import check_budget, check_word_budget
 from .oracle import primitive_necklace_count
-from .words import Alphabet, Word, _Frozen, is_primitive, lyndon_words, minimal_period
+from .words import Alphabet, Word, _Frozen, _unchecked_word, is_primitive, lyndon_words
+from .words import minimal_period
 
 
 class CircularCodeVerdict(_Frozen):
@@ -202,32 +206,34 @@ def power_profile(w: Word, k: int, n: Word | None = None) -> PowerProfile:
         raise NotPrimitiveError(w, minimal_period(w))
     if n is None:
         n = melancon.conjugate(w)
-    factors = fastfactor.nyldon_factorize(w * k).factors
+    power = w.letters * k
+    ranges, _ = fastfactor.factor_ranges(power)
+    factors = [power[a:b] for a, b in ranges]
+    start, copies, K = _central_run(factors, n.letters, k)
+    prefix = tuple(_unchecked_word(f, w.alphabet) for f in factors[:start])
+    suffix = tuple(_unchecked_word(f, w.alphabet) for f in factors[start + copies :])
+    return PowerProfile(w, n, k, prefix, copies, suffix, K)
 
-    target = n.letters
-    best_start, best_len = 0, 0
-    i = 0
-    while i < len(factors):
-        if factors[i].letters == target:
-            j = i
-            while j < len(factors) and factors[j].letters == target:
-                j += 1
-            if j - i > best_len:
-                best_start, best_len = i, j - i
-            i = j
-        else:
-            i += 1
 
+def _central_run(
+    factors: list[tuple[int, ...]], n: tuple[int, ...], k: int
+) -> tuple[int, int, int | None]:
+    """The first longest run of factors equal to n in the factorization of
+    w^k, as (start, copies, K) with K = k - copies. With no such factor the
+    run is empty at the end, (len(factors), 0, None). Raises InvariantError
+    when K exceeds floor(log2 |w|) + 1."""
+    start, best_start, best_len = 0, len(factors), 0
+    for equal, run in groupby(factors, n.__eq__):
+        size = len(list(run))
+        if equal and size > best_len:
+            best_start, best_len = start, size
+        start += size
     if best_len == 0:
-        prefix, suffix = tuple(factors), ()
-        K: int | None = None
-    else:
-        prefix = tuple(factors[:best_start])
-        suffix = tuple(factors[best_start + best_len :])
-        K = k - best_len
-        if K > math.floor(math.log2(len(w))) + 1:
-            raise InvariantError(f"power deficit K={K} exceeds bound for |w|={len(w)}")
-    return PowerProfile(w, n, k, prefix, best_len, suffix, K)
+        return best_start, 0, None
+    K = k - best_len
+    if K > math.floor(math.log2(len(n))) + 1:
+        raise InvariantError(f"power deficit K={K} exceeds bound for |w|={len(n)}")
+    return best_start, best_len, K
 
 
 class KBoundReport(_Frozen):
@@ -251,31 +257,34 @@ class KBoundReport(_Frozen):
 
 
 def _profile_rep(args: tuple[int, tuple[int, ...], int]) -> tuple[tuple[int, ...], int | None, bool]:
-    """Worker: profile one conjugacy-class representative at k, k+1, k+2,
-    computing its conjugate once.
+    """Worker: profile one conjugacy-class representative w at k, k+1, k+2
+    from one stack scan of w^(k+2), computing its conjugate once.
 
-    Returns (letters, K, ok): ok is false when the deficit exceeds its bound
-    or when the prefix and suffix factor lists and the deficit differ across
-    the three exponents; K is None when the bound failed or the profile has
-    no central run.
+    The scan reads right to left, so its stack after the suffixes w^k and
+    w^(k+1) is their factorization. Each power of w is also a prefix of
+    w^(k+2), so a suffix's ranges, counted from its start, slice w^(k+2)
+    directly. Returns (letters, K, ok): ok is false when the deficit exceeds
+    its bound or when the prefix and suffix factor lists and the deficit
+    differ across the three exponents; K is None when the bound failed or
+    the profile has no central run.
     """
     size, letters, k = args
-    w = Word(letters, Alphabet(size))
-    n = melancon.conjugate(w)
-    try:
-        profiles = [power_profile(w, kk, n) for kk in (k, k + 1, k + 2)]
-    except InvariantError:  # the deficit bound failed
-        return letters, None, False
+    n = melancon.conjugate(Word(letters, Alphabet(size))).letters
+    power = letters * (k + 2)
+    m = len(letters)
+    whole, _, suffixes = fastfactor.factor_ranges(power, suffixes=(2 * m, m))
+    profiles = []
+    for kk, ranges in zip((k, k + 1, k + 2), suffixes + [whole]):
+        factors = [power[a:b] for a, b in ranges]
+        try:
+            start, copies, K = _central_run(factors, n, kk)
+        except InvariantError:  # the deficit bound failed
+            return letters, None, False
+        profiles.append((factors[:start], factors[start + copies :], K))
     base = profiles[0]
-    if base.central_copies == 0:
+    if base[2] is None:
         return letters, None, True
-    stable = all(
-        p.prefix_factors == base.prefix_factors
-        and p.suffix_factors == base.suffix_factors
-        and p.K == base.K
-        for p in profiles
-    )
-    return letters, base.K, stable
+    return letters, base[2], all(p == base for p in profiles)
 
 
 def _workers(jobs: int, tasks: int) -> int:
@@ -294,6 +303,8 @@ def k_bound_scan(
     """Profile every primitive conjugacy class up to max_len (one Lyndon
     representative each) at exponent k (default floor(log2 max_len) + 3),
     checking the deficit bound and prefix/suffix stability at k, k+1, k+2.
+    Each class costs one `melancon.conjugate`, an independent check on the
+    stack factorizer, and one stack scan of w^(k+2) (see `_profile_rep`).
     A word that fails either check is listed in `violations`. The
     representatives it would profile count against the word budget."""
     if max_len < 1:

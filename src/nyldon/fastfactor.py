@@ -15,6 +15,13 @@ the first min(|u|, |v|) letters of each factor. The loop does this inline;
 `ComparisonEngine` chooses the letters' storage, and its three-way `compare`
 is the contraction engine's comparator.
 
+Once the loop has read a suffix, its stack is that suffix's factorization:
+what it does next depends only on the stack and the letters to the left.
+So `factor_ranges(letters, suffixes=cuts)` reads the word in segments, one
+per cut, and copies the stack at each cut. One loop gives the factorization
+of the word and of its suffixes at `cuts`; the power scan reads those of
+w^k and w^(k+1) from one scan of w^(k+2).
+
 The comparison bound makes the loop linear in comparisons, not in letters.
 The letters the tie slices copy are at most n log2 n per side for the ties
 that merge: each copied letter of the shorter factor ends in a factor at
@@ -75,22 +82,63 @@ class ComparisonEngine:
         return -1 if len1 < len2 else 1
 
 
-def factor_ranges(letters: tuple[int, ...]):
-    """(start, end) factor ranges left to right, plus the comparison count."""
+def factor_ranges(letters: tuple[int, ...], *, suffixes=()):
+    """(start, end) factor ranges left to right, plus the comparison count.
+
+    With `suffixes`, a sequence of offsets c in range(len(letters)), a third
+    element lists for each c, in the order given, the ranges of letters[c:]:
+    the stack the loop holds once it has read that suffix, counted from c.
+    Each equals `factor_ranges(letters[c:])[0]` and costs a copy of the
+    stack.
+    """
+    cuts = sorted(set(suffixes), reverse=True) if suffixes else ()
     n = len(letters)
+    if cuts and not (cuts[0] < n and cuts[-1] >= 0):
+        raise ValueError("suffix offsets must lie in range(len(letters))")
     if not n:
         return [], 0
     text = ComparisonEngine(letters).letters
+    # The last letter finds the stack empty: it is the last suffix's factor.
+    ends = [n]
+    emptied = 1  # loops that ran out of factors instead of stopping at one
+    hi = n - 1
+    snapshots = {}
+    for c in cuts:
+        emptied += _prepend(text, ends, c, hi)
+        snapshots[c] = _suffix_ranges(ends, c)
+        hi = c
+    emptied += _prepend(text, ends, 0, hi)
+    # One comparison per merge (n - len(ends) of them) and one per loop that
+    # stopped at a factor.
+    comparisons = (n - len(ends)) + (n - emptied)
+    ends.reverse()
+    ranges = list(zip([0] + ends[:-1], ends))
+    if suffixes:
+        return ranges, comparisons, [snapshots[c] for c in suffixes]
+    return ranges, comparisons
+
+
+def _suffix_ranges(ends: list[int], start: int) -> list[tuple[int, int]]:
+    """The stack's factors, left to right, counted from `start`."""
+    ends = [end - start for end in reversed(ends)]
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _prepend(text, ends: list[int], lo: int, hi: int) -> int:
+    """Read text[lo:hi] right to left onto `ends`, the stack of text[hi:]'s
+    factorization, which then holds text[lo:]'s. Returns the loops that ran
+    out of factors."""
+    if lo == hi:
+        return 0
     # ends[-1] is the end of the leftmost factor, whose start is always b1,
     # the end of the incoming range; merging extends the incoming range over
-    # its right neighbours before its end is pushed. The last letter finds
-    # the stack empty.
-    ends = [n]
+    # its right neighbours before its end is pushed.
     pop, push = ends.pop, ends.append
-    emptied = 1  # loops that ran out of factors instead of stopping at one
+    emptied = 0
     # The incoming letter text[a1] = first, with b1 = a1 + 1 and
-    # text[b1] = after, from the second last letter down to the first.
-    for b1, first, after in zip(range(n - 1, 0, -1), text[-2::-1], text[:0:-1]):
+    # text[b1] = after, from text[hi - 1] down to text[lo].
+    firsts = text[hi - 1 : lo - 1 : -1] if lo else text[hi - 1 :: -1]
+    for b1, first, after in zip(range(hi, lo, -1), firsts, text[hi:lo:-1]):
         # A one-letter factor is <= any factor that starts with a letter
         # >= its own, so the first test alone decides it.
         if first <= after:
@@ -117,11 +165,7 @@ def factor_ranges(letters: tuple[int, ...]):
         else:
             emptied += 1
         push(b1)
-    # One comparison per merge (n - len(ends) of them) and one per loop that
-    # stopped at a factor.
-    comparisons = (n - len(ends)) + (n - emptied)
-    ends.reverse()
-    return list(zip([0] + ends[:-1], ends)), comparisons
+    return emptied
 
 
 def factorize_with_stats(word: Word) -> tuple[Factorization, int]:

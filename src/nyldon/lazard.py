@@ -109,10 +109,11 @@ def _eliminate(
 ):
     """The procedure truncated at n, over words encoded by `_encoder`.
 
-    The working set is held as one set per length, `by_len[length]`, beside
-    a heap of every word ever added. Each step removes the least word u of
-    the working set, or the next word of `history` up to length n when one
-    is given, then adds every x u^j (j >= 1) that fits under the bound.
+    The working set is held as one set per length, `by_len[length]`, and,
+    when no history is given, beside a heap of every word ever added. Each
+    step removes the least word u of the working set, or the next word of
+    `history` up to length n when one is given, then adds every x u^j
+    (j >= 1) that fits under the bound.
     `on_step(step, u, present, added)` is called before each removal, with
     the number of words in the working set and the words added since the
     previous call (the letters at step 1), so a caller can follow the working
@@ -136,8 +137,9 @@ def _eliminate(
     added = [encode((c,)) for c in range(alphabet.size)]
     by_len = [set() for _ in range(n + 1)]
     by_len[1].update(added)
-    heap = list(added)  # the encoding keeps the letters in order
     if history is None:
+        heap = list(added)  # the encoding keeps the letters in order
+
         def pops():  # the least word, until the heap runs dry
             while heap:
                 yield heappop(heap)
@@ -172,13 +174,13 @@ def _eliminate(
                     bucket = by_len[len(ext)]
                     if ext in bucket:
                         continue  # set semantics: the extension exists
-                    if ext <= u if removed is None else ext in removed:
-                        raise InvariantError(
-                            f"removed word {Word(tuple(ext), alphabet)} was "
-                            f"regenerated at step {step + 1}"
-                        )
+                    if removed is None:
+                        if ext <= u:
+                            raise _regenerated(ext, alphabet, step)
+                        heappush(heap, ext)
+                    elif ext in removed:
+                        raise _regenerated(ext, alphabet, step)
                     bucket.add(ext)
-                    heappush(heap, ext)
                     added.append(ext)
         present += len(added) - 1
         if added:
@@ -188,6 +190,12 @@ def _eliminate(
                 "the run truncated at {} holds, at step {},", n, step,
             )
     return chosen, finishing, set().union(*by_len)
+
+
+def _regenerated(ext, alphabet: Alphabet, step: int) -> InvariantError:
+    return InvariantError(
+        f"removed word {Word(tuple(ext), alphabet)} was regenerated at step {step + 1}"
+    )
 
 
 def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:

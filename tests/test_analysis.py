@@ -13,6 +13,7 @@ from nyldon import (
     LEX,
     TERNARY,
     BudgetExceededError,
+    InvariantError,
     NotPrimitiveError,
     Word,
     analysis,
@@ -248,8 +249,34 @@ def test_k_bound_scan_small():
 def test_k_bound_scan_parallel_matches_serial():
     serial = k_bound_scan(BINARY, 7, jobs=1)
     parallel = k_bound_scan(BINARY, 7, jobs=2)
-    assert serial.histogram == parallel.histogram
-    assert serial.max_K == parallel.max_K
+    assert serial == parallel
+
+
+def _profile_by_exponent(w, k):
+    """The scan's per-class result by its definition: three separate
+    profiles, at k, k + 1 and k + 2, compared on prefix, suffix and K."""
+    n = conjugate(w)
+    try:
+        profiles = [power_profile(w, kk, n) for kk in (k, k + 1, k + 2)]
+    except InvariantError:
+        return w.letters, None, False
+    base = profiles[0]
+    if base.K is None:
+        return w.letters, None, True
+    stable = all(
+        (p.prefix_factors, p.suffix_factors, p.K)
+        == (base.prefix_factors, base.suffix_factors, base.K)
+        for p in profiles
+    )
+    return w.letters, base.K, stable
+
+
+@pytest.mark.parametrize("alphabet, max_len", [(BINARY, 9), (TERNARY, 5)])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_one_scan_per_class_matches_three_profiles(alphabet, max_len, k):
+    for w in lyndon_words(alphabet, max_len):
+        expected = _profile_by_exponent(w, k)
+        assert analysis._profile_rep((alphabet.size, w.letters, k)) == expected, w
 
 
 def test_k_bound_scan_trivial_length():

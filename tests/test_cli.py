@@ -512,16 +512,17 @@ def test_melancon_handles_rlex(capsys):
 
 
 def test_power_scan_reports_a_deficit_bound_failure(capsys, monkeypatch):
-    # power_profile raises when the deficit bound fails; the scan must list
-    # the word as a violation and finish rather than abort
-    real = analysis.power_profile
+    # the central-run helper raises when the deficit bound fails; the scan
+    # must list the word as a violation and finish rather than abort
+    real = analysis._central_run
+    target = nyldon.conjugate(nyldon.Word.parse("011")).letters
 
-    def fails_on_011(w, k, n=None):
-        if str(w) == "011":
+    def fails_on_011(factors, n, k):
+        if n == target:
             raise InvariantError("power deficit exceeds bound")
-        return real(w, k, n)
+        return real(factors, n, k)
 
-    monkeypatch.setattr(analysis, "power_profile", fails_on_011)
+    monkeypatch.setattr(analysis, "_central_run", fails_on_011)
     report = analysis.k_bound_scan(BINARY, 5, jobs=1)
     assert [str(w) for w in report.violations] == ["011"]
     assert report.word_count == sum(report.histogram.values()) + 1

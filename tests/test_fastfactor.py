@@ -114,6 +114,32 @@ def test_factor_ranges_match_slice_stack(letters):
     assert factor_ranges(t) == _slice_stack_ranges(t)
 
 
+@settings(max_examples=200)
+@given(st.one_of(binary_st, ternary_st, wide_tie_st), st.randoms(use_true_random=False))
+def test_suffix_snapshots_match_separate_scans(letters, rng):
+    # the stack after reading a suffix is that suffix's factorization
+    t = tuple(letters)
+    n = len(t)
+    cuts = rng.sample(range(n), rng.randint(0, min(n, 6))) + [n - 1, 0]
+    rng.shuffle(cuts)
+    ranges, comparisons, snapshots = factor_ranges(t, suffixes=cuts)
+    assert (ranges, comparisons) == factor_ranges(t) == _slice_stack_ranges(t)
+    assert len(snapshots) == len(cuts)
+    for c, snapshot in zip(cuts, snapshots):
+        assert snapshot == factor_ranges(t[c:])[0], c
+
+
+def test_suffix_offsets_must_lie_in_the_word():
+    t = (1, 0, 1)
+    # 101 is one factor, its suffix 01 two
+    assert factor_ranges(t, suffixes=[2, 1]) == ([(0, 3)], 3, [[(0, 1)], [(0, 1), (1, 2)]])
+    for cuts in ([3], [-1], [0, 3]):
+        with pytest.raises(ValueError):
+            factor_ranges(t, suffixes=cuts)
+    with pytest.raises(ValueError):
+        factor_ranges((), suffixes=[0])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 10, 64])
 def test_factor_ranges_match_slice_stack_on_prefix_families(k):
     for t in (

@@ -1,9 +1,9 @@
 """Step through the contraction algorithm on the 14-letter showcase word.
 
-The circular variant starts from the letters of w arranged in a cycle and
+The circular form starts from the letters of w arranged in a cycle and
 repeatedly merges each locally smallest block into its left neighbour; when
 one block remains, that block is the unique rotation of w lying in the
-member set. The linear variant runs the same contraction on a straight line
+member set. The linear form runs the same contraction on a straight line
 of blocks and ends in the factorization instead.
 """
 

@@ -8,9 +8,9 @@ factors that way uniquely. The package provides:
 - a right-to-left stack factorizer with at most 2|w| - 1 factor
   comparisons, each touching only the letters the shorter factor spans
   (`fastfactor`),
-- the circular contraction algorithm that finds the unique member
-  rotation of a primitive word, plus its linear factorization variant,
-  generic over order policies (`melancon`),
+- circular contraction, which finds the unique member rotation of a
+  primitive word, and its linear form, which factorizes: one heap engine
+  keyed by the order policy's sort key, generic over policies (`melancon`),
 - generation and verification of Nyldon-like sets against the right/left
   Hall and Viennot conditions (`hallsets`),
 - the right Lazard elimination procedure with finishing-step detection,

@@ -400,8 +400,7 @@ def _criterion_12() -> tuple[bool, str]:
 
     for rep in lyndon_words(BINARY, 10):
         if len(rep) >= 2:
-            melancon.conjugate(rep, LEX, variant="pq")
-            melancon.conjugate(rep, LEX, variant="phases")
+            melancon.conjugate(rep, LEX)
 
     nyldon7 = hallsets.generate(LEX, BINARY, 7)
     verdict_n = hallsets.verify_hall(nyldon7, LEX)

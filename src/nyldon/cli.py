@@ -18,9 +18,10 @@ import time
 
 # Only what every subcommand needs is imported here. Each handler imports the
 # modules it runs, so a process pays for no other module's import.
-from .errors import NyldonError
+from .errors import DEFAULT_WORD_BUDGET, InvariantError, NotPrimitiveError, NyldonError
+from .errors import check_budget
 from .order import OrderPolicy, get_policy
-from .words import Alphabet, Factorization, Word
+from .words import Alphabet, Factorization, Word, is_primitive, minimal_period
 
 
 def _alphabet(args: argparse.Namespace) -> Alphabet:
@@ -68,6 +69,35 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
         _print(text)
 
 
+def _naive_member(policy: OrderPolicy, alphabet: Alphabet, max_len: int):
+    """Membership of words up to `max_len` letters, from the definition: the
+    oracle under lex, the enumerated set (within its word budget) under any
+    other policy."""
+    if policy.id == "lex":
+        from .oracle import is_nyldon_bruteforce
+
+        return is_nyldon_bruteforce
+    from .oracle import enumerate_members, is_member_bruteforce
+
+    gset = enumerate_members(alphabet, max_len, policy)
+    return lambda word: is_member_bruteforce(word, gset)
+
+
+def _naive_conjugate(word: Word, policy: OrderPolicy) -> Word:
+    """The rotation of a primitive `word` that `_naive_member` accepts; capped
+    at 64 letters, as the brute-force factorization is."""
+    if len(word) > 64:
+        raise ValueError("brute-force conjugate capped at length 64")
+    if not is_primitive(word):
+        raise NotPrimitiveError(word, minimal_period(word))
+    is_member = _naive_member(policy, word.alphabet, len(word))
+    for offset in range(len(word)):
+        rotation = word.rotate(offset)
+        if is_member(rotation):
+            return rotation
+    raise InvariantError(f"no rotation of {word} is a member")
+
+
 def _run_engine(
     word: Word, policy: OrderPolicy, algorithm: str, member: bool
 ) -> Factorization | bool:
@@ -80,18 +110,13 @@ def _run_engine(
 
         fact = factorize(word, policy)
         return len(fact.factors) == 1 if member else fact
-    if algorithm == "naive" and member and policy.id != "lex":
-        from .oracle import enumerate_members, is_member_bruteforce
-
-        gset = enumerate_members(word.alphabet, len(word), policy)
-        return is_member_bruteforce(word, gset)
+    if algorithm == "naive" and member:
+        return _naive_member(policy, word.alphabet, len(word))(word)
     if policy.id != "lex":
         raise NyldonError(f"algorithm '{algorithm}' supports only the lex policy")
     if algorithm == "naive":
-        from .oracle import is_nyldon_bruteforce, nyldon_factorization_bruteforce
+        from .oracle import nyldon_factorization_bruteforce
 
-        if member:
-            return is_nyldon_bruteforce(word)
         return nyldon_factorization_bruteforce(word)
     from .fastfactor import is_nyldon, nyldon_factorize
 
@@ -154,8 +179,8 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
             text,
         )
     else:
-        variant = "phases" if args.algorithm == "naive" else None
-        conj = melancon.conjugate(word, policy, variant=variant)
+        run = _naive_conjugate if args.algorithm == "naive" else melancon.conjugate
+        conj = run(word, policy)
         _emit(args, {"word": str(word), "conjugate": str(conj)}, str(conj))
     return 0
 
@@ -233,6 +258,13 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
                 f"{st.step} | {{{', '.join(row)}}} | {st.chosen_word}"
             )
     if args.kraft is not None:
+        # Each step's sum is exact over s^L, from L counts of up to L base-s
+        # digits each, so the sums cost about steps * L^2.
+        what = "--kraft {} sums over {} steps would cost"
+        cost = len(states) * args.kraft**2
+        check_budget(
+            cost, DEFAULT_WORD_BUDGET, what, args.kraft, len(states), unit="steps x L^2"
+        )
         payload["kraft"] = []
         for st in states:
             value = lazard.kraft_sum(st, args.kraft)

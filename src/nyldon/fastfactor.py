@@ -12,8 +12,8 @@ incoming factor is one letter, that test decides: a tie means it is a prefix
 of the top factor, so not greater. Only a longer factor's tie compares
 slices of the word's letters (as bytes when the alphabet allows), and only
 the first min(|u|, |v|) letters of each factor. The loop does this inline;
-`ComparisonEngine` chooses the letters' storage, and its three-way `compare`
-is the contraction engine's comparator.
+`ComparisonEngine` chooses the letters' storage, whose slices are also the
+contraction engine's lex keys.
 
 Once the loop has read a suffix, its stack is that suffix's factorization:
 what it does next depends only on the stack and the letters to the left.
@@ -54,7 +54,7 @@ from .words import Factorization, Word, _unchecked_word
 
 
 class ComparisonEngine:
-    """Lexicographic comparison of index ranges of a fixed base word.
+    """The letters of a fixed base word, stored for slice comparisons.
 
     The letters are stored as `bytes` when every letter is below 256, so a
     comparison is a C-level slice compare; larger alphabets keep the tuple.
@@ -66,20 +66,6 @@ class ComparisonEngine:
             self.letters: bytes | tuple[int, ...] = bytes(letters)
         except ValueError:
             self.letters = tuple(letters)
-
-    def compare(self, a1: int, b1: int, a2: int, b2: int) -> int:
-        """Three-way compare of letters[a1:b1] vs letters[a2:b2]."""
-        len1 = b1 - a1
-        len2 = b2 - a2
-        common = len1 if len1 < len2 else len2
-        letters = self.letters
-        u = letters[a1 : a1 + common]
-        v = letters[a2 : a2 + common]
-        if u != v:
-            return -1 if u < v else 1
-        if len1 == len2:
-            return 0
-        return -1 if len1 < len2 else 1
 
 
 def factor_ranges(letters: tuple[int, ...], *, suffixes=()):

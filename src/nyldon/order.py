@@ -65,7 +65,8 @@ class CountingPolicy(OrderPolicy):
     """Wrapper that counts comparisons, for benchmarks and bound checks.
 
     Its id differs from the base's, so a fast path keyed on a policy id (the
-    contraction engine's bytes comparator for lex) cannot bypass the count.
+    contraction engine's lex and rlex keys, which compare without the
+    policy) cannot bypass the count.
     """
 
     def __init__(self, base: OrderPolicy):

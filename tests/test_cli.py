@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nyldon
-from nyldon import BINARY, LEX, InvariantError, analysis, cli, hallsets, oracle
+from nyldon import BINARY, LEX, RLEX, InvariantError, is_primitive, words_up_to
+from nyldon import analysis, cli, hallsets, melancon, oracle
 from nyldon.acceptance import TABLE1_WORDS
 
 
@@ -217,6 +219,28 @@ def test_conjugate_imprimitive_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("policy", [LEX, RLEX], ids=["lex", "rlex"])
+def test_naive_conjugate_matches_the_default(monkeypatch, policy):
+    # The naive route enumerates the set once per word length here, not
+    # once per word.
+    cached = lru_cache(oracle.enumerate_members)
+    monkeypatch.setattr(oracle, "enumerate_members", cached)
+    for w in words_up_to(BINARY, 10):
+        if is_primitive(w):
+            assert cli._naive_conjugate(w, policy) == melancon.conjugate(w, policy), w
+
+
+def test_naive_conjugate_is_capped_and_needs_a_primitive_word(capsys):
+    for policy in ("lex", "rlex"):
+        argv = ("conjugate", "0011011", "--algorithm", "naive", "--policy", policy)
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv[:2], "--policy", policy)
+        for word, code in (("1010", 1), ("0" * 64 + "1", 2)):
+            argv = ("conjugate", word, "--algorithm", "naive", "--policy", policy)
+            got, out, err = run_cli(capsys, *argv)
+            assert (got, out) == (code, "")
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--max-len", "7")
     assert code == 0
@@ -289,6 +313,14 @@ def test_lazard_kraft(capsys):
     assert code == 0
     assert "kraft step 1: 1" in out
     assert out.count("kraft step") == 14
+
+
+def test_lazard_kraft_is_budgeted(capsys):
+    # The sums are exact over 2^L: unchecked, this run did not end in 15 s.
+    code, out, err = run_cli(capsys, "lazard", "--max-len", "3", "--kraft", "100000")
+    assert (code, out) == (1, "")
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: --kraft 100000 sums over 5 steps would cost")
 
 
 def test_lazard_snapshots_are_capped(capsys):

@@ -69,28 +69,26 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
         _print(text)
 
 
-def _naive_member(policy: OrderPolicy, alphabet: Alphabet, max_len: int):
-    """Membership of words up to `max_len` letters, from the definition: the
-    oracle under lex, the enumerated set (within its word budget) under any
-    other policy."""
+def _naive_member(policy: OrderPolicy, word: Word, what: str):
+    """Membership of words as long as `word`, from the definition: the
+    oracle under lex, its recursion under `policy` otherwise. Capped at 64
+    letters, as the brute-force factorization is."""
+    if len(word) > 64:
+        raise ValueError(f"brute-force {what} capped at length 64")
     if policy.id == "lex":
         from .oracle import is_nyldon_bruteforce
 
         return is_nyldon_bruteforce
-    from .oracle import enumerate_members, is_member_bruteforce
+    from .oracle import member_by_recursion
 
-    gset = enumerate_members(alphabet, max_len, policy)
-    return lambda word: is_member_bruteforce(word, gset)
+    return member_by_recursion(policy)
 
 
 def _naive_conjugate(word: Word, policy: OrderPolicy) -> Word:
-    """The rotation of a primitive `word` that `_naive_member` accepts; capped
-    at 64 letters, as the brute-force factorization is."""
-    if len(word) > 64:
-        raise ValueError("brute-force conjugate capped at length 64")
+    """The rotation of a primitive `word` that `_naive_member` accepts."""
+    is_member = _naive_member(policy, word, "conjugate")
     if not is_primitive(word):
         raise NotPrimitiveError(word, minimal_period(word))
-    is_member = _naive_member(policy, word.alphabet, len(word))
     for offset in range(len(word)):
         rotation = word.rotate(offset)
         if is_member(rotation):
@@ -103,15 +101,14 @@ def _run_engine(
 ) -> Factorization | bool:
     """The factorization of `word` (member=False) or whether it is a member
     (member=True), by the --algorithm engine. fast and naive know only lex,
-    except that naive tests membership under any policy against the
-    enumerated set."""
+    except that naive tests membership under any policy."""
     if algorithm == "melancon":
         from .melancon import factorize
 
         fact = factorize(word, policy)
         return len(fact.factors) == 1 if member else fact
     if algorithm == "naive" and member:
-        return _naive_member(policy, word.alphabet, len(word))(word)
+        return _naive_member(policy, word, "membership")(word)
     if policy.id != "lex":
         raise NyldonError(f"algorithm '{algorithm}' supports only the lex policy")
     if algorithm == "naive":

@@ -54,12 +54,8 @@ from .words import Factorization, Word, _unchecked_word
 
 
 class ComparisonEngine:
-    """The letters of a fixed base word, stored for slice comparisons.
-
-    The letters are stored as `bytes` when every letter is below 256, so a
-    comparison is a C-level slice compare; larger alphabets keep the tuple.
-    Bytes order equals tuple order on such letters.
-    """
+    """A word's letters held by `words._storage`'s rule keyed on its largest
+    letter, as only slices of one engine meet; `bytes()` checks that in C."""
 
     def __init__(self, letters: tuple[int, ...]):
         try:

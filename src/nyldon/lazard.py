@@ -8,10 +8,12 @@ the working set is reduced to a single word.
 
 One driver runs the procedure, over byte-encoded words (letter tuples for
 alphabets above 256 letters). Its working set is one set per length, beside
-a heap of the words added, so that bounds around 20 letters complete
-quickly. `lazard_report` streams it and keeps only the removed words, encoded
-as `_eliminate` holds them; its `chosen` Words are built on the first read,
-so a caller that needs only the summary builds one Word, the stop word.
+a heap of the words added. `lazard_report` streams it and keeps only the
+removed words, encoded as `_eliminate` holds them; its `chosen` Words are
+built on the first read, so a caller that needs only the summary builds one
+Word, the stop word. Its length-n words are inert: they extend nothing and
+are extended by nothing, so they skip the heap and the sets for a list that
+one sort puts in order (52 377 of the 111 013 words of binary 20).
 `lazard_run` adds a per-step snapshot of the working set, built from the
 previous snapshot minus the removed word plus the words the driver reports
 as added, so each word is converted and hashed once.
@@ -21,7 +23,8 @@ that adds some, so all three stop at the step where a run outgrows it.
 
 The finishing step of a complete run is the first step whose removed-so-far
 words together with the working set already cover every word the run will ever
-remove. The word removed immediately before that step is the stop word; closed
+remove: the step after the last one whose removal adds a word. The word
+removed immediately before it, that last one, is the stop word; closed
 forms for it and for the number of steps after it are provided, each with the
 length regime it covers (the even-length count is the paper's form, which
 undercounts).
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_WORD_BUDGET, InvariantError
 from .errors import check_budget, check_word_budget
-from .words import Alphabet, Word, _Frozen, _field_repr, _unchecked_word
+from .words import Alphabet, Word, _Frozen, _field_repr, _storage, _unchecked_word
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -98,16 +101,10 @@ class CodeCheck(_Frozen):
         return self.ok
 
 
-def _encoder(alphabet: Alphabet):
-    """How `_eliminate` encodes a letter tuple: `bytes`, or the tuple itself
-    above 256 letters. Both compare in lex order like the words they encode."""
-    return bytes if alphabet.size <= 256 else tuple
-
-
 def _eliminate(
     alphabet: Alphabet, n: int, budget: int | None, on_step=None, history=None
 ):
-    """The procedure truncated at n, over words encoded by `_encoder`.
+    """The procedure truncated at n, over words held by `words._storage`.
 
     The working set is held as one set per length, `by_len[length]`, and,
     when no history is given, beside a heap of every word ever added. Each
@@ -118,8 +115,8 @@ def _eliminate(
     the number of words in the working set and the words added since the
     previous call (the letters at step 1), so a caller can follow the working
     set as the previous one minus the removed word plus `added`. Returns the
-    removed words, the finishing step (the last step at which a word first
-    appears) and the final working set. Raises BudgetExceededError once the
+    removed words, the finishing step (the step after the last one that adds
+    a word) and the final working set. Raises BudgetExceededError once the
     words seen (removed or present) exceed `budget`, naming the step.
 
     Without a history the removed words are not kept. There u is the least
@@ -129,14 +126,21 @@ def _eliminate(
     and raises InvariantError. A history may remove words in any order, and
     a replay at a larger bound meets extensions below u legitimately, so
     that mode keeps the removed words and checks against them.
+
+    A run with neither a history nor `on_step` keeps its length-n words
+    inert, in a list that one sort at the end merges into the removed words;
+    a step is then counted as in a run that pops every word. A duplicate
+    there raises InvariantError: (Y minus {u}) u* is a code.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    encode = _encoder(alphabet)
+    encode = _storage(alphabet.size)
     # the words added since the last on_step call: the letters at step 1
     added = [encode((c,)) for c in range(alphabet.size)]
     by_len = [set() for _ in range(n + 1)]
     by_len[1].update(added)
+    inert: list = []  # the length-n extensions of a run that reports no step
+    top = n if on_step is None and history is None else n + 1  # n + 1: none inert
     if history is None:
         heap = list(added)  # the encoding keeps the letters in order
 
@@ -148,11 +152,13 @@ def _eliminate(
         removals = (encode(u.letters) for u in history if len(u) <= n)
         removed = set()
     chosen: list = []
-    finishing = 1
-    present = len(added)
+    last, finishing, seen = None, 1, len(added)  # last: the last word that added one
+
+    def at(u) -> int:  # u's step in a run that pops every word
+        return step + sum(1 for w in inert if w < u)
     for step, u in enumerate(removals, 1):
         if on_step is not None:
-            on_step(step, u, present, added)
+            on_step(step, u, seen - step + 1, added)
         try:
             by_len[len(u)].remove(u)
         except KeyError:
@@ -162,6 +168,7 @@ def _eliminate(
         if removed is not None:
             removed.add(u)
         room = n - len(u)  # the longest word that u can still extend
+        stop = top - len(u)  # extend while shorter: room, or room + 1
         chosen.append(u)
         added = []
         # Longest x first: an extension is longer than its x, so each length
@@ -169,26 +176,39 @@ def _eliminate(
         for q in range(room, 0, -1):
             for x in by_len[q]:
                 ext = x
-                while len(ext) <= room:
+                while len(ext) < stop:
                     ext = ext + u
                     bucket = by_len[len(ext)]
                     if ext in bucket:
                         continue  # set semantics: the extension exists
                     if removed is None:
                         if ext <= u:
-                            raise _regenerated(ext, alphabet, step)
+                            raise _regenerated(ext, alphabet, at(u))
                         heappush(heap, ext)
                     elif ext in removed:
                         raise _regenerated(ext, alphabet, step)
                     bucket.add(ext)
                     added.append(ext)
-        present += len(added) - 1
+                if len(ext) == room:  # only where top is n: ext u is inert
+                    ext = ext + u
+                    if ext <= u:
+                        raise _regenerated(ext, alphabet, at(u))
+                    inert.append(ext)
+                    added.append(ext)
         if added:
-            finishing = step + 1
-            check_budget(
-                step + present, budget,
-                "the run truncated at {} holds, at step {},", n, step,
-            )
+            last, finishing = u, step + 1
+            seen += len(added)
+            if budget is not None and seen > budget:
+                what = "the run truncated at {} holds, at step {},"
+                check_budget(seen, budget, what, n, at(u))
+    if inert:
+        inert.sort()
+        for a, b in zip(inert, inert[1:]):
+            if a == b:
+                raise InvariantError(f"word {Word(tuple(a), alphabet)} was added twice")
+        finishing += bisect.bisect_left(inert, last)  # inert words removed before it
+        chosen += inert
+        chosen.sort()  # two sorted runs: one merge
     return chosen, finishing, set().union(*by_len)
 
 
@@ -255,12 +275,13 @@ def finishing_step(states: list[LazardState]) -> LazardReport:
         raise InvariantError("a complete run must cover its own output")
     # coverage never goes away once reached, so the least covering step bisects
     fs = states[bisect.bisect_left(states, True, key=covers)].step
-    encode = _encoder(last.alphabet)
+    encode = _storage(last.alphabet.size)
     return _report(last.alphabet, last.n, tuple(encode(w.letters) for w in chosen), fs)
 
 
 def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
-    """Run the procedure without keeping states; fast for n up to ~20."""
+    """Run the procedure without keeping states: binary 20 (111 013 steps)
+    takes about 0.13 s on 2 cores with Python 3.11."""
     encoded, fs, _ = _eliminate(alphabet, n, DEFAULT_WORD_BUDGET)
     return _report(alphabet, n, tuple(encoded), fs)
 

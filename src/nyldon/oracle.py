@@ -22,55 +22,64 @@ unique factorization (`hallsets`), unique decodability (`lazard`) and
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from operator import ge
+from typing import Callable
 
 from .errors import DEFAULT_WORD_BUDGET, InvariantError, check_word_budget
 from .order import OrderPolicy, get_policy
 from .words import Alphabet, Factorization, Word, _Frozen
 
-if TYPE_CHECKING:
-    from pathlib import Path
 
+def _recursion(geq):
+    """The definition as a recursion, with caches of its own: a word is a
+    `member` unless it is a member head and a tail that `tails` splits into
+    nondecreasing members, the first `geq` (>= in the order) the head.
+    `tails` stops at the first such split; `splits` counts them all."""
 
-@lru_cache(maxsize=None)
-def _is_nyldon(letters: tuple[int, ...]) -> bool:
-    n = len(letters)
-    if n == 1:
+    @lru_cache(maxsize=None)
+    def member(letters: tuple[int, ...]) -> bool:
+        for k in range(1, len(letters)):
+            head = letters[:k]
+            if member(head) and tails(letters[k:], head):
+                return False
         return True
-    for k in range(1, n):
-        head = letters[:k]
-        if _is_nyldon(head) and _tail_factors(letters[k:], head):
-            return False
-    return True
 
-
-@lru_cache(maxsize=None)
-def _tail_factors(suffix: tuple[int, ...], bound: tuple[int, ...]) -> bool:
-    """Can `suffix` split into nondecreasing Nyldon factors, the first >= bound?"""
-    m = len(suffix)
-    for t in range(1, m + 1):
-        head = suffix[:t]
-        if head >= bound and _is_nyldon(head):
-            if t == m or _tail_factors(suffix[t:], head):
+    @lru_cache(maxsize=None)
+    def tails(suffix: tuple[int, ...], bound: tuple[int, ...]) -> bool:
+        m = len(suffix)
+        for t in range(1, m + 1):
+            head = suffix[:t]
+            if geq(head, bound) and member(head) and (t == m or tails(suffix[t:], head)):
                 return True
-    return False
+        return False
+
+    @lru_cache(maxsize=None)
+    def splits(suffix: tuple[int, ...], bound: tuple[int, ...]) -> int:
+        m = len(suffix)
+        total = 0
+        for t in range(1, m + 1):
+            head = suffix[:t]
+            if geq(head, bound) and member(head):
+                total += 1 if t == m else splits(suffix[t:], head)
+        return total
+
+    return member, splits
 
 
-@lru_cache(maxsize=None)
-def _tail_count(suffix: tuple[int, ...], bound: tuple[int, ...]) -> int:
-    """Number of such splits; no early exit, used for uniqueness checks."""
-    m = len(suffix)
-    total = 0
-    for t in range(1, m + 1):
-        head = suffix[:t]
-        if head >= bound and _is_nyldon(head):
-            total += 1 if t == m else _tail_count(suffix[t:], head)
-    return total
+# lex, with module-level caches that every sweep over short words shares
+_is_nyldon, _tail_count = _recursion(ge)
 
 
 def is_nyldon_bruteforce(word: Word) -> bool:
     """Membership by exhausting candidate factorizations (memoized)."""
     return _is_nyldon(word.letters)
+
+
+def member_by_recursion(policy: OrderPolicy) -> Callable[[Word], bool]:
+    """Membership under `policy` by `_recursion`, with no set enumerated; its
+    caches live as long as the returned test, so none grows across policies."""
+    member, _ = _recursion(lambda head, bound: policy.compare(head, bound) >= 0)
+    return lambda word: member(word.letters)
 
 
 def longest_nyldon_suffix(word: Word) -> Word:
@@ -151,36 +160,6 @@ class GeneratedSet(_Frozen):
         for t in self.member_tuples:
             counts[len(t)] += 1
         return counts
-
-    def save(self, path: str | Path) -> None:
-        """JSON header line, then one word per line in shortlex order."""
-        import json
-        from pathlib import Path
-
-        header = {
-            "alphabet_size": self.alphabet.size,
-            "max_len": self.max_len,
-            "policy_id": self.policy_id,
-            "count": len(self.member_tuples),
-        }
-        lines = [json.dumps(header)]
-        lines.extend(str(w) for w in self.words())
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "GeneratedSet":
-        import json
-        from pathlib import Path
-
-        lines = Path(path).read_text().splitlines()
-        header = json.loads(lines[0])
-        alphabet = Alphabet(header["alphabet_size"])
-        tuples = frozenset(alphabet.parse(line) for line in lines[1:] if line.strip())
-        if len(tuples) != header["count"]:
-            raise ValueError(
-                f"count mismatch: header says {header['count']}, file has {len(tuples)}"
-            )
-        return cls(alphabet, header["max_len"], header["policy_id"], tuples)
 
 
 def _parse_row(rows, letters, members, compare):

@@ -209,6 +209,13 @@ def _unchecked_word(letters: tuple[int, ...], alphabet: Alphabet) -> Word:
     return w
 
 
+def _storage(values: int):
+    """How letters below `values` are held to compare in C, in lex order:
+    bytes when `values` <= 256, else the tuple. Bytes and tuples do not
+    compare, so words that meet (a Lazard run's) share one `values`."""
+    return bytes if values <= 256 else tuple
+
+
 class Factorization(_Frozen):
     """A tuple of factors plus the order they are claimed to satisfy.
 

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -220,11 +219,9 @@ def test_conjugate_imprimitive_is_domain_error(capsys):
 
 
 @pytest.mark.parametrize("policy", [LEX, RLEX], ids=["lex", "rlex"])
-def test_naive_conjugate_matches_the_default(monkeypatch, policy):
-    # The naive route enumerates the set once per word length here, not
-    # once per word.
-    cached = lru_cache(oracle.enumerate_members)
-    monkeypatch.setattr(oracle, "enumerate_members", cached)
+def test_naive_conjugate_matches_the_default(policy):
+    # The naive route decides each rotation from the definition alone: the
+    # oracle under lex, its recursion under rlex, with one cache per word.
     for w in words_up_to(BINARY, 10):
         if is_primitive(w):
             assert cli._naive_conjugate(w, policy) == melancon.conjugate(w, policy), w
@@ -239,6 +236,15 @@ def test_naive_conjugate_is_capped_and_needs_a_primitive_word(capsys):
             got, out, err = run_cli(capsys, *argv)
             assert (got, out) == (code, "")
             assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_naive_membership_is_capped(capsys):
+    for policy in ("lex", "rlex"):
+        argv = ("is-member", "0" * 63 + "1", "--algorithm", "naive", "--policy", policy)
+        assert run_cli(capsys, *argv) == (0, "false\n" if policy == "lex" else "true\n", "")
+        got, out, err = run_cli(capsys, argv[0], "0" * 64 + "1", *argv[2:])
+        assert (got, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_enumerate(capsys):

@@ -1,5 +1,6 @@
 """Elimination procedure: reference table, reports, code sums, predictions."""
 
+import hashlib
 import heapq
 import pickle
 from fractions import Fraction
@@ -110,27 +111,54 @@ def test_snapshots_match_the_reference_elimination():
 def test_budget_stops_where_the_reference_outgrows_it():
     # held[s]: the removed-plus-present words after step s, for s from 0 up
     # to the last step K exclusive; step K removes the one word left, so the
-    # count stays put
-    held = [
-        step - 1 + len(y)
-        for step, (_, y) in enumerate(_reference_elimination(2, 10), 1)
-    ]
-    assert max(held) == len(held) == 226  # budgets from 226 on let it finish
-    for budget in range(2, 301):
-        step = next((s for s in range(1, len(held)) if held[s] > budget), None)
-        if step is None:
-            assert len(lazard._eliminate(BINARY, 10, budget)[0]) == 226
-            continue
-        with pytest.raises(BudgetExceededError) as excinfo:
-            lazard._eliminate(BINARY, 10, budget)
-        assert str(excinfo.value) == (
-            f"the run truncated at 10 holds, at step {step}, {held[step]} "
-            f"words (budget {budget})"
-        )
+    # count stays put. The report's run pops no length-n word, so its error
+    # names the step that the reference reaches by popping every word.
+    for alphabet, n, steps in ((BINARY, 10, 226), (TERNARY, 6, 196)):
+        held = [
+            step - 1 + len(y)
+            for step, (_, y) in enumerate(_reference_elimination(alphabet.size, n), 1)
+        ]
+        assert max(held) == len(held) == steps  # budgets from `steps` on let it finish
+        for budget in range(2, steps + 75):
+            step = next((s for s in range(1, len(held)) if held[s] > budget), None)
+            if step is None:
+                assert len(lazard._eliminate(alphabet, n, budget)[0]) == steps
+                continue
+            with pytest.raises(BudgetExceededError) as excinfo:
+                lazard._eliminate(alphabet, n, budget)
+            assert str(excinfo.value) == (
+                f"the run truncated at {n} holds, at step {step}, {held[step]} "
+                f"words (budget {budget})"
+            )
+
+
+# (size, n): total_steps, finishing_step, stop_word, words_after_stop and the
+# first 16 hex digits of the sha256 of the removed words joined by "|"
+PINNED_RUNS = {
+    (2, 16): (8800, 7820, "10111110", 981, "73f0ab0227c2ff43"),
+    (2, 18): (31042, 29039, "101111110", 2004, "a56253e40c28be3e"),
+    (2, 20): (111013, 106962, "1011111110", 4052, "f737dd3855b389c0"),
+    (3, 11): (25486, 24436, "21222", 1051, "c0b5603d455c6bb2"),
+    (4, 8): (11464, 10803, "3231", 662, "f1f36fcac4063bdd"),
+    (5, 6): (3409, 3133, "433", 277, "fe604e2b79864b78"),
+}
+
+
+@pytest.mark.parametrize("size, n", list(PINNED_RUNS), ids=lambda v: str(v))
+def test_removal_order_matches_the_pinned_digest(size, n):
+    # pinned from the run that popped every word, length n included
+    report = lazard_report(Alphabet(size), n)
+    digest = hashlib.sha256(b"|".join(bytes(x) for x in report.encoded)).hexdigest()
+    assert (
+        report.total_steps, report.finishing_step, str(report.stop_word),
+        report.words_after_stop, digest[:16],
+    ) == PINNED_RUNS[size, n]
 
 
 def test_report_agrees_with_state_replay():
-    # the two reports are equal as values: each holds its own encoding
+    # the two elimination paths: the snapshots pop every word, length n
+    # included, and the report sorts its inert length-n words in at the end;
+    # the two reports are equal as values, each holding its own encoding
     for alphabet, lengths in ((BINARY, range(1, 14)), (TERNARY, range(1, 9))):
         for n in lengths:
             from_states = finishing_step(lazard_run(alphabet, n))

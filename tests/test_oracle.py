@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nyldon import (
     BINARY,
     LEX,
+    TERNARY,
     BudgetExceededError,
     Word,
     code_check,
@@ -24,7 +25,7 @@ from nyldon import (
 )
 from nyldon.acceptance import TABLE1_COUNTS, TABLE1_WORDS
 from nyldon.hallsets import verify_factorization_property
-from nyldon.oracle import parse_count, parse_sweep
+from nyldon.oracle import member_by_recursion, parse_count, parse_sweep
 from nyldon.order import RLEX
 from nyldon.words import is_lyndon
 
@@ -137,20 +138,11 @@ def test_length_cap():
     assert len(long) == 65
 
 
-def test_generated_set_save_load_roundtrip(tmp_path, binary10):
-    path = tmp_path / "members.txt"
-    binary10.save(path)
-    loaded = type(binary10).load(path)
-    assert loaded.member_tuples == binary10.member_tuples
-    assert loaded.policy_id == binary10.policy_id
-    assert loaded.max_len == binary10.max_len
-    assert Word.parse("1011") in loaded
-    assert Word.parse("1101") not in loaded
-    # a tampered count is rejected
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError):
-        type(binary10).load(path)
+def test_recursion_matches_the_enumerated_set_under_rlex():
+    for alphabet, max_len in ((BINARY, 10), (TERNARY, 6)):
+        gset = enumerate_members(alphabet, max_len, RLEX)
+        for w in words_up_to(alphabet, max_len):  # fresh caches per word
+            assert member_by_recursion(RLEX)(w) == is_member_bruteforce(w, gset), w
 
 
 def test_ternary_members_smoke(ternary6):

@@ -55,6 +55,7 @@ _EXPORTS = {
     "lazard": (
         "CodeCheck",
         "LazardReport",
+        "LazardRun",
         "LazardState",
         "code_check",
         "count_words_after_stop",

@@ -235,7 +235,7 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
     if args.kraft is not None and args.kraft < 1:
         raise ValueError("--kraft must be at least 1")
     if args.trace or args.kraft is not None:
-        # one elimination: the summary comes from the snapshots themselves
+        # one elimination: the summary comes from the states themselves
         states = lazard.lazard_run(alphabet, args.max_len)
         report = lazard.finishing_step(states)
     else:
@@ -243,17 +243,9 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
         report = lazard.lazard_report(alphabet, args.max_len)
     payload = report.to_dict()
     lines: list[str] = []
+    kraft_lines: list[str] = []
     if args.trace:
         payload["trace"] = []
-        for st in states:
-            members = sorted(st.current, key=lambda w: (len(w), w.letters))
-            row = [str(w) for w in members]
-            payload["trace"].append(
-                {"step": st.step, "set": row, "chosen": str(st.chosen_word)}
-            )
-            lines.append(
-                f"{st.step} | {{{', '.join(row)}}} | {st.chosen_word}"
-            )
     if args.kraft is not None:
         # Each step's sum is exact over s^L, from L counts of up to L base-s
         # digits each, so the sums cost about steps * L^2.
@@ -263,12 +255,23 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
             cost, DEFAULT_WORD_BUDGET, what, args.kraft, len(states), unit="steps x L^2"
         )
         payload["kraft"] = []
-        for st in states:
+    for st in states:  # one replay of the run serves both views
+        if args.trace:
+            members = sorted(st.current, key=lambda w: (len(w), w.letters))
+            row = [str(w) for w in members]
+            payload["trace"].append(
+                {"step": st.step, "set": row, "chosen": str(st.chosen_word)}
+            )
+            lines.append(
+                f"{st.step} | {{{', '.join(row)}}} | {st.chosen_word}"
+            )
+        if args.kraft is not None:
             value = lazard.kraft_sum(st, args.kraft)
             payload["kraft"].append(
                 {"step": st.step, "sum": f"{value.numerator}/{value.denominator}"}
             )
-            lines.append(f"kraft step {st.step}: {value}")
+            kraft_lines.append(f"kraft step {st.step}: {value}")
+    lines += kraft_lines
     lines.append(
         f"total_steps: {report.total_steps}  finishing_step: {report.finishing_step}  "
         f"stop_word: {report.stop_word}  words_after_stop: {report.words_after_stop}"

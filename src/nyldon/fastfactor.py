@@ -172,5 +172,9 @@ def nyldon_factorize(word: Word) -> Factorization:
 
 
 def is_nyldon(word: Word) -> bool:
-    ranges, _ = factor_ranges(word.letters)
-    return len(ranges) == 1
+    """One factor: the stack's depth, without `factor_ranges`' range list."""
+    letters = word.letters
+    n = len(letters)
+    ends = [n]
+    _prepend(ComparisonEngine(letters).letters, ends, 0, n - 1)
+    return len(ends) == 1

@@ -14,9 +14,11 @@ built on the first read, so a caller that needs only the summary builds one
 Word, the stop word. Its length-n words are inert: they extend nothing and
 are extended by nothing, so they skip the heap and the sets for a list that
 one sort puts in order (52 377 of the 111 013 words of binary 20).
-`lazard_run` adds a per-step snapshot of the working set, built from the
-previous snapshot minus the removed word plus the words the driver reports
-as added, so each word is converted and hashed once.
+`lazard_run` keeps a log of the driver's run, not a snapshot per step: every
+added Word, built once, the step that removes each, and the number added
+before each step. Its `LazardRun` builds a step's state when it is read, and
+an iteration replays the log, each state the previous one minus the removed
+word plus the words added since.
 `materialize_y` replays a removal history through the same elimination step.
 The driver checks the words it holds against the word budget after every step
 that adds some, so all three stop at the step where a run outgrows it.
@@ -33,8 +35,11 @@ undercounts).
 from __future__ import annotations
 
 import bisect
+import sys
+from collections.abc import Sequence
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Iterable
+from itertools import compress, islice, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DEFAULT_WORD_BUDGET, InvariantError
 from .errors import check_budget, check_word_budget
@@ -43,9 +48,14 @@ from .words import Alphabet, Word, _Frozen, _field_repr, _storage, _unchecked_wo
 if TYPE_CHECKING:
     from fractions import Fraction
 
+# LazardRun.removed_at of a word no step has removed yet (a complete run
+# removes every word): an int, so `step.__le__` answers True or False, where
+# float("inf") would make it return NotImplemented, which is truthy
+_NEVER = sys.maxsize
+
 
 class LazardState(_Frozen):
-    """Snapshot taken at the start of a step, before its word is removed:
+    """A step's state at its start, before its word is removed:
     `chosen` holds the words removed at earlier steps, in order, `current`
     the working set truncated at n, and `chosen_word` the word this step
     removes (the least of `current`)."""
@@ -127,10 +137,12 @@ def _eliminate(
     a replay at a larger bound meets extensions below u legitimately, so
     that mode keeps the removed words and checks against them.
 
-    A run with neither a history nor `on_step` keeps its length-n words
-    inert, in a list that one sort at the end merges into the removed words;
-    a step is then counted as in a run that pops every word. A duplicate
-    there raises InvariantError: (Y minus {u}) u* is a code.
+    Without a history, an extension added twice raises InvariantError too:
+    (Y minus {u}) u* is a code, so every x u^j is new. A run with neither a
+    history nor `on_step` keeps its length-n words inert, in a list that one
+    sort at the end merges into the removed words, and checks it for
+    duplicates there; a step is then counted as in a run that pops every
+    word.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -180,7 +192,9 @@ def _eliminate(
                     ext = ext + u
                     bucket = by_len[len(ext)]
                     if ext in bucket:
-                        continue  # set semantics: the extension exists
+                        if removed is None:
+                            raise _twice(ext, alphabet)
+                        continue  # a replay keeps set semantics
                     if removed is None:
                         if ext <= u:
                             raise _regenerated(ext, alphabet, at(u))
@@ -205,11 +219,15 @@ def _eliminate(
         inert.sort()
         for a, b in zip(inert, inert[1:]):
             if a == b:
-                raise InvariantError(f"word {Word(tuple(a), alphabet)} was added twice")
+                raise _twice(a, alphabet)
         finishing += bisect.bisect_left(inert, last)  # inert words removed before it
         chosen += inert
         chosen.sort()  # two sorted runs: one merge
     return chosen, finishing, set().union(*by_len)
+
+
+def _twice(ext, alphabet: Alphabet) -> InvariantError:
+    return InvariantError(f"word {Word(tuple(ext), alphabet)} was added twice")
 
 
 def _regenerated(ext, alphabet: Alphabet, step: int) -> InvariantError:
@@ -218,38 +236,80 @@ def _regenerated(ext, alphabet: Alphabet, step: int) -> InvariantError:
     )
 
 
-def lazard_run(alphabet: Alphabet, n: int) -> list[LazardState]:
-    """Run the procedure keeping a snapshot of every step. Raises
-    BudgetExceededError once the snapshots would hold more than
-    DEFAULT_WORD_BUDGET words in total, counting each snapshot's working set
-    and its `chosen` prefix (binary n <= 13 fits).
+class LazardRun(_Frozen, Sequence):
+    """The states of a complete run, as a read-only sequence over the
+    driver's log: every added Word in order (`words`), the number added
+    before each step (`before`), the step that removes each word
+    (`removed_at`) and the removed Words in order (`chosen`). Each state is
+    built when it is read; `run[i]` filters the words added before its step
+    to those not yet removed. Iteration replays the log once, each state the
+    previous one minus the removed word plus the words added since."""
 
-    Each snapshot is the previous one minus the word removed there plus the
-    words the driver added since, so each Word is built and hashed once, when
-    it first appears, and copied into later snapshots with its stored hash."""
-    words: dict = {}  # encoded word -> Word
-    live: set[Word] = set()  # the working set at the latest snapshot
-    chosen: list[Word] = []
-    states: list[LazardState] = []
+    __slots__ = ("alphabet", "n", "words", "before", "removed_at", "chosen")
+
+    def __repr__(self) -> str:
+        # the log without its words: a binary-13 run adds 1 377
+        return f"LazardRun(alphabet={self.alphabet!r}, n={self.n}, steps={len(self)})"
+
+    def __len__(self) -> int:
+        return len(self.chosen)
+
+    def __getitem__(self, index):
+        try:
+            i = range(len(self.chosen))[index]  # negatives and slices as a list's
+        except IndexError:
+            raise IndexError("LazardRun index out of range") from None
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        step, added = i + 1, self.before[i]
+        present = map(step.__le__, islice(self.removed_at, added))
+        current = frozenset(compress(self.words, present))
+        return LazardState(
+            self.alphabet, self.n, step, self.chosen[:i], current, self.chosen[i]
+        )
+
+    def __iter__(self) -> Iterator[LazardState]:
+        alphabet, n, words, chosen = self.alphabet, self.n, self.words, self.chosen
+        live: set[Word] = set()
+        added = 0
+        for i, upto in enumerate(self.before):
+            if i:
+                live.remove(chosen[i - 1])
+            live.update(words[added:upto])
+            added = upto
+            yield LazardState(alphabet, n, i + 1, chosen[:i], frozenset(live), chosen[i])
+
+
+def lazard_run(alphabet: Alphabet, n: int) -> LazardRun:
+    """Run the procedure keeping a log from which every step's state is
+    built when read. Raises BudgetExceededError once a full iteration would
+    build more than DEFAULT_WORD_BUDGET words in total, counting each
+    state's working set and its `chosen` prefix (binary n <= 13 fits).
+
+    The log builds each Word once, after the run."""
+    added_words: list = []  # encoded, in the order the driver adds them
+    before: list[int] = []
+    removals: list = []  # encoded, in removal order
     held = 0
 
-    def snapshot(step: int, u, present: int, added: list) -> None:
+    def log(step: int, u, present: int, added: list) -> None:
         nonlocal held
-        held += present + len(chosen)
+        held += present + step - 1
         what = "the snapshots of the run truncated at {} hold, at step {},"
         check_budget(held, DEFAULT_WORD_BUDGET, what, n, step)
-        if chosen:
-            live.remove(chosen[-1])
-        for x in added:
-            w = words[x] = _unchecked_word(tuple(x), alphabet)
-            live.add(w)
-        states.append(
-            LazardState(alphabet, n, step, tuple(chosen), frozenset(live), words[u])
-        )
-        chosen.append(words[u])
+        added_words.extend(added)
+        before.append(len(added_words))
+        removals.append(u)
 
-    _eliminate(alphabet, n, DEFAULT_WORD_BUDGET, snapshot)
-    return states
+    _eliminate(alphabet, n, DEFAULT_WORD_BUDGET, log)
+    words = tuple(map(_unchecked_word, map(tuple, added_words), repeat(alphabet)))
+    position = dict(zip(added_words, range(len(words))))
+    removed = list(map(position.__getitem__, removals))  # each step's word
+    removed_at = [_NEVER] * len(words)
+    for step, i in enumerate(removed, 1):
+        removed_at[i] = step
+    chosen = tuple(map(words.__getitem__, removed))
+    return LazardRun(alphabet, n, words, tuple(before), tuple(removed_at), chosen)
 
 
 def _report(alphabet: Alphabet, n: int, encoded: tuple, fs: int) -> LazardReport:
@@ -259,12 +319,12 @@ def _report(alphabet: Alphabet, n: int, encoded: tuple, fs: int) -> LazardReport
     return LazardReport(alphabet, n, len(encoded), fs, stop, len(encoded) - (fs - 1), encoded)
 
 
-def finishing_step(states: list[LazardState]) -> LazardReport:
+def finishing_step(states: Sequence[LazardState]) -> LazardReport:
     """Report for a complete run: the finishing step is the least step whose
     removed-plus-current words already cover the run's whole output."""
-    if not states or len(states[-1].current) != 1:
+    last = states[-1] if states else None
+    if last is None or len(last.current) != 1:
         raise ValueError("finishing_step needs the states of a complete run")
-    last = states[-1]
     chosen = last.chosen + (last.chosen_word,)
     final_members = set(chosen)
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import importlib
 import io
 import json
@@ -365,6 +366,17 @@ def test_lazard_json(capsys):
     assert payload["stop_word"] == "10"
     assert len(payload["trace"]) == 14
     assert payload["trace"][2]["chosen"] == "10"
+
+
+def test_lazard_trace_and_kraft_match_the_pinned_digest(capsys):
+    # the sha256 of this stdout when lazard_run built every state eagerly
+    code, out, _ = run_cli(
+        capsys, "lazard", "--max-len", "9", "--trace", "--kraft", "9", "--json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "514fab4382991f852a1629e4b39965415b518ebd55d7d7789eb09459d9e95548"
+    )
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])

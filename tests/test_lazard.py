@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,35 @@ def test_snapshots_match_the_reference_elimination():
                 assert {w.letters for w in st.current} == y
 
 
+def test_indexing_builds_the_iterated_states():
+    # run[i] filters the log; iteration replays it, as the eager build did
+    for size, lengths in ((2, range(1, 11)), (3, range(1, 7)), (4, range(1, 6))):
+        for n in lengths:
+            run = lazard_run(Alphabet(size), n)
+            states = list(run)
+            assert len(run) == len(states)
+            for i in range(-len(states), len(states)):
+                assert run[i] == states[i]
+            assert run[:6] == states[:6]
+            assert run[1:] == states[1:]
+            assert run[::-1] == states[::-1] == list(reversed(run))
+            for bad in (len(run), -len(run) - 1):
+                with pytest.raises(IndexError):
+                    run[bad]
+
+
+def test_run_keeps_a_log_not_the_states():
+    # the eager snapshots of binary 13 peaked at 38 MB under tracemalloc
+    tracemalloc.start()
+    try:
+        run = lazard_run(BINARY, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(run) == 1377
+    assert peak < 4 * 2**20
+
+
 def test_budget_stops_where_the_reference_outgrows_it():
     # held[s]: the removed-plus-present words after step s, for s from 0 up
     # to the last step K exclusive; step K removes the one word left, so the
@@ -156,7 +186,7 @@ def test_removal_order_matches_the_pinned_digest(size, n):
 
 
 def test_report_agrees_with_state_replay():
-    # the two elimination paths: the snapshots pop every word, length n
+    # the two elimination paths: the states' run pops every word, length n
     # included, and the report sorts its inert length-n words in at the end;
     # the two reports are equal as values, each holding its own encoding
     for alphabet, lengths in ((BINARY, range(1, 14)), (TERNARY, range(1, 9))):
@@ -236,7 +266,7 @@ def test_replayed_words_equal_the_checked_build():
 def test_snapshots_stop_at_the_word_budget():
     with pytest.raises(BudgetExceededError) as excinfo:
         lazard_run(BINARY, 14)
-    # each snapshot holds its working set and its `chosen` prefix
+    # a full iteration builds each state's working set and `chosen` prefix
     assert str(excinfo.value) == (
         "the snapshots of the run truncated at 14 hold, at step 1203, 2002133 "
         f"words (budget {DEFAULT_WORD_BUDGET})"

@@ -10,7 +10,7 @@ whose length-weighted sum converges to 1 exactly.
 
 from nyldon import (
     BINARY,
-    kraft_sum,
+    kraft_sums,
     lazard_code_check,
     lazard_report,
     lazard_run,
@@ -38,8 +38,9 @@ def main() -> None:
 
     print()
     print("exact truncated sums (sum over the working set of 2^-|y|):")
+    sums = kraft_sums(report, 40)
     for st in states[:4] + states[-2:]:
-        value = kraft_sum(st, 40)
+        value = sums[st.step - 1]
         gap = 1 - value
         decodes = bool(lazard_code_check(st, 10))
         print(

@@ -60,7 +60,7 @@ _EXPORTS = {
         "code_check",
         "count_words_after_stop",
         "finishing_step",
-        "kraft_sum",
+        "kraft_sums",
         "lazard_code_check",
         "lazard_report",
         "lazard_run",

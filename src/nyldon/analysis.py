@@ -19,8 +19,8 @@ Each scan checks, before it starts, what it would visit against the one
 budget (`errors.DEFAULT_WORD_BUDGET`): the suffix scan counts every word up
 to its max_len, the power scan the Lyndon representatives it profiles, the
 circular check the edges of its split graph, and the fixed-length code the
-Lyndon words it generates. The power and suffix scans fan out across
-min(jobs, CPU count, tasks) processes, and run in-process when that is 1.
+Lyndon words it generates. The power scan fans out across
+min(jobs, CPU count, tasks) processes, and runs in-process when that is 1.
 """
 
 from __future__ import annotations
@@ -376,49 +376,24 @@ def sn_ka_check(n: Word, s: Word, a: Word, k: int) -> bool:
     return len(first) >= len(n) and first.letters >= n.letters
 
 
-def _lyndon_suffix_range(
-    args: tuple[int, int, frozenset[tuple[int, ...]]]
-) -> tuple[int, ...] | None:
-    """Worker: scan all words of one length; return a counterexample or None."""
-    size, length, lyndon_set = args
-    for tup in product(range(size), repeat=length):
-        ok_hypothesis = True
-        for i in range(1, length):
-            suf = tup[i:]
-            if suf in lyndon_set and not tup < suf:
-                ok_hypothesis = False
-                break
-        if ok_hypothesis and tup not in lyndon_set:
-            return tup
-    return None
-
-
-def lyndon_suffix_check(
-    alphabet: Alphabet, max_len: int, jobs: int = 1
-) -> bool:
+def lyndon_suffix_check(alphabet: Alphabet, max_len: int) -> bool:
     """Check, for every word w of length <= max_len, that if w is smaller
     than all of its Lyndon proper suffixes then w is itself Lyndon (i.e. its
     nonincreasing Lyndon factorization has a single factor). Every word up
     to max_len counts against the word budget."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     check_word_budget("Lyndon suffix check", alphabet.size, max_len, DEFAULT_WORD_BUDGET)
     lyndon_set = frozenset(
         w.letters for w in lyndon_words(alphabet, max_len)
     )
-    tasks = [(alphabet.size, length, lyndon_set) for length in range(1, max_len + 1)]
-    workers = _workers(jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for counterexample in pool.map(_lyndon_suffix_range, tasks):
-                if counterexample is not None:
+    for length in range(1, max_len + 1):
+        for tup in product(range(alphabet.size), repeat=length):
+            for i in range(1, length):
+                suf = tup[i:]
+                if suf in lyndon_set and not tup < suf:
+                    break  # the hypothesis fails
+            else:
+                if tup not in lyndon_set:
                     return False
-        return True
-    for task in tasks:
-        if _lyndon_suffix_range(task) is not None:
-            return False
     return True

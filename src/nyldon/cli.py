@@ -234,44 +234,39 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
     alphabet = _alphabet(args)
     if args.kraft is not None and args.kraft < 1:
         raise ValueError("--kraft must be at least 1")
-    if args.trace or args.kraft is not None:
-        # one elimination: the summary comes from the states themselves
-        states = lazard.lazard_run(alphabet, args.max_len)
-        report = lazard.finishing_step(states)
+    if args.trace:
+        # one elimination serves the trace and the summary
+        run = lazard.lazard_run(alphabet, args.max_len)
+        report = lazard.finishing_step(run)
     else:
-        states = []
         report = lazard.lazard_report(alphabet, args.max_len)
     payload = report.to_dict()
     lines: list[str] = []
-    kraft_lines: list[str] = []
-    if args.trace:
-        payload["trace"] = []
     if args.kraft is not None:
         # Each step's sum is exact over s^L, from L counts of up to L base-s
         # digits each, so the sums cost about steps * L^2.
         what = "--kraft {} sums over {} steps would cost"
-        cost = len(states) * args.kraft**2
+        cost = report.total_steps * args.kraft**2
         check_budget(
-            cost, DEFAULT_WORD_BUDGET, what, args.kraft, len(states), unit="steps x L^2"
+            cost, DEFAULT_WORD_BUDGET, what, args.kraft, report.total_steps,
+            unit="steps x L^2",
         )
-        payload["kraft"] = []
-    for st in states:  # one replay of the run serves both views
-        if args.trace:
+    if args.trace:
+        payload["trace"] = []
+        for st in run:  # only the trace iterates the states
             members = sorted(st.current, key=lambda w: (len(w), w.letters))
             row = [str(w) for w in members]
             payload["trace"].append(
                 {"step": st.step, "set": row, "chosen": str(st.chosen_word)}
             )
-            lines.append(
-                f"{st.step} | {{{', '.join(row)}}} | {st.chosen_word}"
-            )
-        if args.kraft is not None:
-            value = lazard.kraft_sum(st, args.kraft)
+            lines.append(f"{st.step} | {{{', '.join(row)}}} | {st.chosen_word}")
+    if args.kraft is not None:
+        payload["kraft"] = []
+        for step, value in enumerate(lazard.kraft_sums(report, args.kraft), 1):
             payload["kraft"].append(
-                {"step": st.step, "sum": f"{value.numerator}/{value.denominator}"}
+                {"step": step, "sum": f"{value.numerator}/{value.denominator}"}
             )
-            kraft_lines.append(f"kraft step {st.step}: {value}")
-    lines += kraft_lines
+            lines.append(f"kraft step {step}: {value}")
     lines.append(
         f"total_steps: {report.total_steps}  finishing_step: {report.finishing_step}  "
         f"stop_word: {report.stop_word}  words_after_stop: {report.words_after_stop}"
@@ -320,7 +315,7 @@ def _cmd_lyndon_check(args: argparse.Namespace) -> int:
     from . import analysis
 
     alphabet = _alphabet(args)
-    ok = analysis.lyndon_suffix_check(alphabet, args.max_len, jobs=args.jobs)
+    ok = analysis.lyndon_suffix_check(alphabet, args.max_len)
     _emit(
         args,
         {"alphabet_size": alphabet.size, "max_len": args.max_len, "ok": ok},
@@ -450,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lyndon-check", help="Lyndon suffix criterion sweep")
     common(p)
     p.add_argument("--max-len", type=int, required=True, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
     p.set_defaults(func=_cmd_lyndon_check)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

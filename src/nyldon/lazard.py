@@ -25,11 +25,20 @@ that adds some, so all three stop at the step where a run outgrows it.
 
 The finishing step of a complete run is the first step whose removed-so-far
 words together with the working set already cover every word the run will ever
-remove: the step after the last one whose removal adds a word. The word
-removed immediately before it, that last one, is the stop word; closed
-forms for it and for the number of steps after it are provided, each with the
-length regime it covers (the even-length count is the paper's form, which
-undercounts).
+remove: the step after the last one whose removal adds a word. The driver
+returns it, so `lazard_report` and `lazard_run` carry the value it counted,
+and `finishing_step(run)` reads it off the run. The word removed immediately
+before it, that last one, is the stop word. By the standard factorization of
+a right Hall set (Reutenauer, *Free Lie Algebras*, 1993, ch. 4), the right
+standard factor of a member w with |w| >= 2 is its longest proper suffix
+that is a member; the stop word is the lex-largest such factor among the
+removed words. That is checked, not proved, at binary n <= 20, ternary
+n <= 11 and quaternary n <= 8. Closed forms for the stop word and for the
+number of steps after it are provided, each with the length regime it covers
+(the even-length count is the paper's form, which undercounts).
+
+`kraft_sums` reads a report's removed words once: the star-closure
+recurrence on counts per length follows the working set from step to step.
 """
 
 from __future__ import annotations
@@ -240,12 +249,14 @@ class LazardRun(_Frozen, Sequence):
     """The states of a complete run, as a read-only sequence over the
     driver's log: every added Word in order (`words`), the number added
     before each step (`before`), the step that removes each word
-    (`removed_at`) and the removed Words in order (`chosen`). Each state is
-    built when it is read; `run[i]` filters the words added before its step
-    to those not yet removed. Iteration replays the log once, each state the
-    previous one minus the removed word plus the words added since."""
+    (`removed_at`), the removed Words in order (`chosen`) and the driver's
+    `finishing_step`. Each state is built when it is read; `run[i]` filters
+    the words added before its step to those not yet removed. Iteration
+    replays the log once, each state the previous one minus the removed
+    word plus the words added since."""
 
-    __slots__ = ("alphabet", "n", "words", "before", "removed_at", "chosen")
+    __slots__ = ("alphabet", "n", "words", "before", "removed_at", "chosen",
+                 "finishing_step")
 
     def __repr__(self) -> str:
         # the log without its words: a binary-13 run adds 1 377
@@ -286,7 +297,8 @@ def lazard_run(alphabet: Alphabet, n: int) -> LazardRun:
     build more than DEFAULT_WORD_BUDGET words in total, counting each
     state's working set and its `chosen` prefix (binary n <= 13 fits).
 
-    The log builds each Word once, after the run."""
+    The log builds each Word once, after the run, and keeps the driver's
+    finishing step, so the run is always complete."""
     added_words: list = []  # encoded, in the order the driver adds them
     before: list[int] = []
     removals: list = []  # encoded, in removal order
@@ -301,7 +313,7 @@ def lazard_run(alphabet: Alphabet, n: int) -> LazardRun:
         before.append(len(added_words))
         removals.append(u)
 
-    _eliminate(alphabet, n, DEFAULT_WORD_BUDGET, log)
+    _, fs, _ = _eliminate(alphabet, n, DEFAULT_WORD_BUDGET, log)
     words = tuple(map(_unchecked_word, map(tuple, added_words), repeat(alphabet)))
     position = dict(zip(added_words, range(len(words))))
     removed = list(map(position.__getitem__, removals))  # each step's word
@@ -309,7 +321,7 @@ def lazard_run(alphabet: Alphabet, n: int) -> LazardRun:
     for step, i in enumerate(removed, 1):
         removed_at[i] = step
     chosen = tuple(map(words.__getitem__, removed))
-    return LazardRun(alphabet, n, words, tuple(before), tuple(removed_at), chosen)
+    return LazardRun(alphabet, n, words, tuple(before), tuple(removed_at), chosen, fs)
 
 
 def _report(alphabet: Alphabet, n: int, encoded: tuple, fs: int) -> LazardReport:
@@ -319,24 +331,11 @@ def _report(alphabet: Alphabet, n: int, encoded: tuple, fs: int) -> LazardReport
     return LazardReport(alphabet, n, len(encoded), fs, stop, len(encoded) - (fs - 1), encoded)
 
 
-def finishing_step(states: Sequence[LazardState]) -> LazardReport:
-    """Report for a complete run: the finishing step is the least step whose
-    removed-plus-current words already cover the run's whole output."""
-    last = states[-1] if states else None
-    if last is None or len(last.current) != 1:
-        raise ValueError("finishing_step needs the states of a complete run")
-    chosen = last.chosen + (last.chosen_word,)
-    final_members = set(chosen)
-
-    def covers(st: LazardState) -> bool:
-        return final_members <= (set(st.chosen) | set(st.current))
-
-    if not covers(last):
-        raise InvariantError("a complete run must cover its own output")
-    # coverage never goes away once reached, so the least covering step bisects
-    fs = states[bisect.bisect_left(states, True, key=covers)].step
-    encode = _storage(last.alphabet.size)
-    return _report(last.alphabet, last.n, tuple(encode(w.letters) for w in chosen), fs)
+def finishing_step(run: LazardRun) -> LazardReport:
+    """The report of a run, with the finishing step its driver counted."""
+    encode = _storage(run.alphabet.size)
+    encoded = tuple(encode(w.letters) for w in run.chosen)
+    return _report(run.alphabet, run.n, encoded, run.finishing_step)
 
 
 def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
@@ -346,34 +345,36 @@ def lazard_report(alphabet: Alphabet, n: int) -> LazardReport:
     return _report(alphabet, n, tuple(encoded), fs)
 
 
-def kraft_counts(state: LazardState, max_len: int) -> list[int]:
-    """Number of working-set words per length up to max_len, by the exact
-    star-closure recurrence on counts (index 0 unused)."""
+def kraft_sums(report: LazardReport, max_len: int) -> list[Fraction]:
+    """The exact partial Kraft sum of each step's working set over lengths
+    <= max_len, in step order: the sum of s^-|w| over the words present
+    before the step's removal. One pass over the removed words' lengths
+    keeps the count of each length by the star-closure recurrence: removing
+    u of length p turns Y into (Y minus {u}) u*, so counts[p] drops by one
+    and counts[l] gains counts[l - p] for l = p ... max_len (index 0 unused).
+    Raises InvariantError when a removal finds no word of its length."""
+    from fractions import Fraction
+
+    s = report.alphabet.size
     counts = [0] * (max_len + 1)
     if max_len >= 1:
-        counts[1] = state.alphabet.size
-    for u in state.chosen:
-        p = len(u)
+        counts[1] = s
+    scale = s**max_len
+    sums = []
+    for i, p in enumerate(map(len, report.encoded)):
+        total = 0
+        for count in counts:  # base-s digits over s^L; counts[0] is 0
+            total = total * s + count
+        sums.append(Fraction(total, scale))
         if p > max_len:
             continue
         counts[p] -= 1
         if counts[p] < 0:
+            u = _unchecked_word(tuple(report.encoded[i]), report.alphabet)
             raise InvariantError(f"removed word {u} was not counted present")
         for length in range(p, max_len + 1):
             counts[length] += counts[length - p]
-    return counts
-
-
-def kraft_sum(state: LazardState, max_len: int) -> Fraction:
-    """Exact partial Kraft sum of the working set over lengths <= max_len."""
-    from fractions import Fraction
-
-    counts = kraft_counts(state, max_len)
-    s = state.alphabet.size
-    return sum(
-        (Fraction(counts[length], s**length) for length in range(1, max_len + 1)),
-        Fraction(0),
-    )
+    return sums
 
 
 def materialize_y(

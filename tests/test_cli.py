@@ -330,6 +330,14 @@ def test_lazard_kraft_is_budgeted(capsys):
     assert err.startswith("error: --kraft 100000 sums over 5 steps would cost")
 
 
+def test_lazard_kraft_runs_past_the_snapshot_budget(capsys):
+    # only --trace iterates the states; the sums read the report's removals
+    code, out, err = run_cli(capsys, "lazard", "--max-len", "14", "--kraft", "3")
+    assert (code, err) == (0, "")
+    assert out.count("kraft step ") == 2538
+    assert "total_steps: 2538" in out
+
+
 def test_lazard_snapshots_are_capped(capsys):
     code, out, err = run_cli(capsys, "lazard", "--max-len", "14", "--trace")
     assert (code, out) == (1, "")
@@ -516,8 +524,8 @@ def test_usage_errors(capsys):
         ("enumerate", "--max-len", "-1"),
         ("power-scan", "--max-len", "4", "--jobs", "0"),
         ("power-scan", "--max-len", "4", "--jobs", "-1"),
-        ("lyndon-check", "--max-len", "4", "--jobs", "0"),
-        ("lyndon-check", "--max-len", "4", "--jobs", "-1"),
+        ("lyndon-check", "--max-len", "0"),
+        ("lazard", "--max-len", "0"),
         ("lazard", "--max-len", "3", "--kraft", "0"),
         ("lazard", "--max-len", "3", "--kraft", "-2"),
     ],

@@ -14,13 +14,14 @@ from nyldon import (
     Alphabet,
     BudgetExceededError,
     InvariantError,
+    LazardReport,
     LazardState,
     Word,
     code_check,
     count_words_after_stop,
     enumerate_nyldon,
     finishing_step,
-    kraft_sum,
+    kraft_sums,
     lazard,
     lazard_code_check,
     lazard_report,
@@ -30,7 +31,6 @@ from nyldon import (
 )
 from nyldon.acceptance import TABLE2_ROWS
 from nyldon.errors import DEFAULT_WORD_BUDGET
-from nyldon.lazard import kraft_counts
 
 
 def test_reference_rows_and_chosen_words():
@@ -186,7 +186,7 @@ def test_removal_order_matches_the_pinned_digest(size, n):
 
 
 def test_report_agrees_with_state_replay():
-    # the two elimination paths: the states' run pops every word, length n
+    # the two driver modes: the states' run pops every word, length n
     # included, and the report sorts its inert length-n words in at the end;
     # the two reports are equal as values, each holding its own encoding
     for alphabet, lengths in ((BINARY, range(1, 14)), (TERNARY, range(1, 9))):
@@ -196,6 +196,37 @@ def test_report_agrees_with_state_replay():
             assert from_states == streamed
             assert hash(from_states) == hash(streamed)
             assert from_states.chosen == streamed.chosen
+
+
+def _largest_right_standard_factor(encoded: tuple):
+    """The lex-largest right standard factor among the removed words: the
+    right standard factor of a member w with |w| >= 2 is its longest proper
+    suffix that is a member. Shares no code with `lazard._eliminate`."""
+    members = set(encoded)
+    factors = (
+        next(w[i:] for i in range(1, len(w)) if w[i:] in members)
+        for w in encoded
+        if len(w) >= 2
+    )
+    return max(factors)
+
+
+STANDARD_FACTOR_RUNS = [(2, n) for n in range(2, 17)] + [(3, n) for n in range(2, 10)]
+STANDARD_FACTOR_RUNS += [
+    pytest.param(size, n, marks=pytest.mark.slow)
+    for size, lengths in ((2, range(17, 21)), (3, range(10, 12)), (4, range(2, 9)))
+    for n in lengths
+]
+
+
+@pytest.mark.parametrize("size, n", STANDARD_FACTOR_RUNS, ids=lambda v: str(v))
+def test_stop_word_is_the_largest_right_standard_factor(size, n):
+    # the standard factorization of a right Hall set names the stop word
+    # without the driver's bookkeeping of which step last added a word
+    report = lazard_report(Alphabet(size), n)
+    factor = _largest_right_standard_factor(report.encoded)
+    assert report.stop_word.letters == tuple(factor)
+    assert report.encoded.index(factor) + 2 == report.finishing_step
 
 
 def test_chosen_is_a_tuple_of_the_sorted_members(binary10):
@@ -236,15 +267,30 @@ def test_report_pickles_round_trip():
         assert back.chosen == report.chosen
 
 
-def test_snapshot_length_counts_match_kraft_counts():
-    # kraft_counts follows the removal history by a count recurrence alone,
-    # so it checks every snapshot without sharing code with the driver
-    n = 10
-    for st in lazard_run(BINARY, n):
-        by_length = [0] * (n + 1)
-        for w in st.current:
-            by_length[len(w)] += 1
-        assert by_length[1:] == kraft_counts(st, n)[1:]
+def test_kraft_sums_match_the_iterated_states():
+    # kraft_sums follows the removal list by a count recurrence alone, so it
+    # checks every state without sharing code with the driver; its sums at
+    # L = 1 ... n fix the count of each length
+    for alphabet, lengths in ((BINARY, range(1, 11)), (TERNARY, range(1, 7))):
+        s = alphabet.size
+        for n in lengths:
+            states = list(lazard_run(alphabet, n))
+            report = lazard_report(alphabet, n)
+            for L in range(1, n + 1):
+                sums = kraft_sums(report, L)
+                assert len(sums) == len(states)
+                for st, value in zip(states, sums):
+                    lengths_present = [len(w) for w in st.current if len(w) <= L]
+                    assert value == sum(Fraction(1, s**p) for p in lengths_present)
+
+
+def test_kraft_sums_past_n_match_replays():
+    # past the run's bound the recurrence counts words no state holds; a
+    # replay of each state's history truncated at L lists them
+    report = lazard_report(BINARY, 5)
+    for L in (8, 14):
+        for st, value in zip(lazard_run(BINARY, 5), kraft_sums(report, L)):
+            assert value == sum(Fraction(1, 2 ** len(w)) for w in materialize_y(st, L))
 
 
 def test_every_snapshot_matches_a_replay_of_its_history():
@@ -340,38 +386,31 @@ def test_even_count_form_undercounts_measurement():
     assert count_words_after_stop(BINARY, 18) == 477
 
 
-def test_kraft_counts_match_materialization():
-    states = lazard_run(BINARY, 5)
-    for st in states[:6]:
-        counts = kraft_counts(st, 14)
-        mat = materialize_y(st, 14)
-        for length in range(1, 15):
-            assert counts[length] == sum(1 for w in mat if len(w) == length)
-
-
 def test_replaying_a_malformed_history_raises():
     # removing the word 0 three times: the third removal has nothing to remove
     st = lazard_run(BINARY, 5)[0]
     zero = Word.parse("0")
     bad = LazardState(BINARY, 5, 4, (zero, zero, zero), st.current, zero)
     with pytest.raises(InvariantError):
-        kraft_counts(bad, 4)
-    with pytest.raises(InvariantError):
         materialize_y(bad, 4)
+    encoded = lazard_report(BINARY, 1).encoded[:1] * 3  # 0, 0, 0
+    by_hand = LazardReport(BINARY, 5, 3, 1, None, 3, encoded)
+    with pytest.raises(InvariantError, match="removed word 0 was not counted present"):
+        kraft_sums(by_hand, 4)
 
 
 def test_kraft_sum_step1_is_exactly_one():
-    st = lazard_run(BINARY, 5)[0]
+    report = lazard_report(BINARY, 5)
     for L in (1, 5, 40):
-        assert kraft_sum(st, L) == Fraction(1)
+        assert kraft_sums(report, L)[0] == Fraction(1)
 
 
 def test_kraft_sums_below_one_and_monotone():
-    states = lazard_run(BINARY, 5)
-    for st in states[1:]:
-        sums = [kraft_sum(st, L) for L in (8, 16, 24, 32)]
+    report = lazard_report(BINARY, 5)
+    columns = [kraft_sums(report, L) for L in (8, 16, 24, 32)]
+    for sums in list(zip(*columns))[1:]:
         assert all(s < 1 for s in sums)
-        assert sums == sorted(sums)
+        assert list(sums) == sorted(sums)
 
 
 def test_all_steps_decode_uniquely():

@@ -8,10 +8,12 @@ Three families of checks live here:
   cycle;
 * power profiling: the factorization of w^k splits into a prefix, a maximal
   central run of copies of w's distinguished conjugate, and a suffix; the
-  deficit K = k - central_copies is bounded by floor(log2 |w|) + 1. The
-  bound scan profiles each class at k, k+1 and k+2 from one stack scan of
-  w^(k+2), whose suffix snapshots are the factorizations of w^k and w^(k+1),
-  and `power_profile` and the scan locate the run with one helper;
+  deficit K = k - central_copies is bounded by floor(log2 |w|) + 1. K
+  belongs to the word, not to its conjugacy class: rotations of one word
+  can differ in K. The bound scan profiles the Lyndon representative of
+  each class, at k, k+1 and k+2 from one stack scan of w^(k+2), whose
+  suffix snapshots are the factorizations of w^k and w^(k+1), and
+  `power_profile` and the scan locate the run with one helper;
 * a suffix criterion for Lyndon words: any word lexicographically smaller
   than all of its Lyndon proper suffixes is itself Lyndon.
 
@@ -237,8 +239,10 @@ def _central_run(
 
 
 class KBoundReport(_Frozen):
-    """`histogram` counts the classes by deficit K; `no_central` lists the
-    words whose profile has no run of n."""
+    """The scan's result over the Lyndon representative of each primitive
+    conjugacy class: `histogram` counts the representatives by their deficit
+    K, which other rotations of the same class need not share; `no_central`
+    lists the words whose profile has no run of n."""
 
     __slots__ = ("alphabet", "max_len", "k", "word_count", "max_K", "histogram",
                  "violations", "no_central")
@@ -300,9 +304,11 @@ def k_bound_scan(
     k: int | None = None,
     jobs: int = 1,
 ) -> KBoundReport:
-    """Profile every primitive conjugacy class up to max_len (one Lyndon
-    representative each) at exponent k (default floor(log2 max_len) + 3),
-    checking the deficit bound and prefix/suffix stability at k, k+1, k+2.
+    """Profile the Lyndon representative of each primitive conjugacy class
+    up to max_len at exponent k (default floor(log2 max_len) + 3), checking
+    the deficit bound and prefix/suffix stability at k, k+1, k+2. K belongs
+    to the word, not to its class, so other rotations are not covered: at
+    k = 7, 01111011011111011110111 has K = 4 and its Lyndon rotation K = 3.
     Each class costs one `melancon.conjugate`, an independent check on the
     stack factorizer, and one stack scan of w^(k+2) (see `_profile_rep`).
     A word that fails either check is listed in `violations`. The

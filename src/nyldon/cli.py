@@ -1,20 +1,21 @@
 """Command-line front end.
 
 Subcommands: factor, is-member, conjugate, trace, enumerate, verify-hall,
-lazard, circular-check, power-scan, lyndon-check, selftest, bench.
+lazard, circular-check, power-scan, lyndon-check, selftest. Each is one row
+of `_COMMANDS`. A process builds only the subparser of the command it runs;
+help and a missing or unknown command build them all.
 
 Exit codes: 0 on success, 1 on domain errors (periodic input, order-policy
 violations, budget caps) and on a failed write to stdout (a closed pipe, a
-full disk), ``--help`` included, with a one-line ``error: ...`` diagnostic on
-stderr, 2 on usage errors (unknown flags or policies, malformed words,
-out-of-range values).
+full disk), ``--help`` included, 2 on usage errors (unknown flags, commands
+or policies, missing arguments, malformed words, out-of-range values). Each
+failure prints one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 # Only what every subcommand needs is imported here. Each handler imports the
 # modules it runs, so a process pays for no other module's import.
@@ -58,6 +59,10 @@ class _Parser(argparse.ArgumentParser):
             _print(message, end="", flush=True)
         else:
             super()._print_message(message, file)
+
+    def error(self, message):
+        # one line, without argparse's usage block; exit() raises SystemExit(2)
+        self.exit(2, f"error: {message}\n")
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -341,127 +346,80 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import random
-
-    from . import fastfactor, melancon
-    from .order import LEX, CountingPolicy
-
-    alphabet = _alphabet(args)
-    rng = random.Random(0xBE7C)
-    _print("n,algorithm,comparisons,nanos")
-    n = 64
-    while n <= args.max_len:
-        letters = tuple(rng.randrange(alphabet.size) for _ in range(n))
-        word = Word(letters, alphabet)
-        for algorithm in ("fast", "melancon"):
-            start = time.perf_counter_ns()
-            if algorithm == "fast":
-                _, comparisons = fastfactor.factorize_with_stats(word)
-            else:
-                counted = CountingPolicy(LEX)
-                melancon.factorize(word, counted)
-                comparisons = counted.calls
-            nanos = time.perf_counter_ns() - start
-            _print(f"{n},{algorithm},{comparisons},{nanos}")
-        n *= 2
-    return 0
+def _arg(name: str, **spec) -> tuple[str, dict]:
+    """One argument: its name and its `add_argument` keywords."""
+    return name, spec
 
 
-def build_parser() -> argparse.ArgumentParser:
+_JSON = _arg("--json", action="store_true", help="JSON output")
+_COMMON = (
+    _arg("--alphabet", type=int, default=2, metavar="K", help="alphabet size (default 2)"),
+    _arg("--policy", default="lex", metavar="ID", help="order policy id (default lex)"),
+    _JSON,
+)
+_WORD_ARGS = (_arg("word", help="word in shared text syntax"), *_COMMON)
+_ALGORITHM = _arg("--algorithm", choices=("naive", "fast", "melancon"), default="fast")
+_MAX_LEN = _arg("--max-len", type=int, required=True, metavar="N")
+
+# One row per subcommand: help, handler, arguments in order, and defaults.
+_COMMANDS = {
+    "factor": ("factorization into members", _cmd_factor, (
+        *_WORD_ARGS, _ALGORITHM,
+        _arg("--trace", action="store_true",
+             help="print contraction snapshots before the factors"),
+    ), {}),
+    "is-member": ("membership test", _cmd_is_member, (*_WORD_ARGS, _ALGORITHM), {}),
+    "conjugate": ("distinguished conjugate of a primitive word", _cmd_conjugate, (
+        *_WORD_ARGS, _ALGORITHM,
+        _arg("--trace", action="store_true", help="print contraction snapshots"),
+    ), {}),
+    "trace": ("circular contraction snapshots", _cmd_conjugate, _WORD_ARGS, {"trace": True}),
+    "enumerate": ("list members up to a length", _cmd_enumerate, (
+        *_COMMON, _MAX_LEN,
+        _arg("--no-validate", action="store_true",
+             help="skip the growth-clause check (needed for rlex)"),
+    ), {}),
+    "verify-hall": ("Hall/Viennot verdict for a policy", _cmd_verify_hall,
+                    (*_COMMON, _MAX_LEN), {}),
+    "lazard": ("elimination run with optional trace", _cmd_lazard, (
+        *_COMMON, _MAX_LEN,
+        _arg("--trace", action="store_true", help="print the step table"),
+        _arg("--kraft", type=int, metavar="L", help="print exact truncated sums at length L"),
+    ), {}),
+    "circular-check": ("circularity of the fixed-length code", _cmd_circular_check,
+                       (*_COMMON, _arg("--length", type=int, required=True, metavar="L")), {}),
+    "power-scan": ("power-factorization deficit scan", _cmd_power_scan, (
+        *_COMMON, _MAX_LEN, _arg("--jobs", type=int, default=1, metavar="J"),
+    ), {}),
+    "lyndon-check": ("Lyndon suffix criterion sweep", _cmd_lyndon_check,
+                     (*_COMMON, _MAX_LEN), {}),
+    "selftest": ("run the acceptance suite", _cmd_selftest, (_JSON,), {}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` only, or with every
+    subparser when `command` is None."""
     parser = _Parser(
         prog="nyldon",
         description="Factorizations, conjugates, generated sets, elimination "
         "runs, and code checks for Nyldon-style word families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, word_arg: bool = False) -> None:
-        if word_arg:
-            p.add_argument("word", help="word in shared text syntax")
-        p.add_argument("--alphabet", type=int, default=2, metavar="K",
-                       help="alphabet size (default 2)")
-        p.add_argument("--policy", default="lex", metavar="ID",
-                       help="order policy id (default lex)")
-        p.add_argument("--json", action="store_true", help="JSON output")
-
-    p = sub.add_parser("factor", help="factorization into members")
-    common(p, word_arg=True)
-    p.add_argument("--algorithm", choices=("naive", "fast", "melancon"),
-                   default="fast")
-    p.add_argument("--trace", action="store_true",
-                   help="print contraction snapshots before the factors")
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("is-member", help="membership test")
-    common(p, word_arg=True)
-    p.add_argument("--algorithm", choices=("naive", "fast", "melancon"),
-                   default="fast")
-    p.set_defaults(func=_cmd_is_member)
-
-    p = sub.add_parser("conjugate", help="distinguished conjugate of a primitive word")
-    common(p, word_arg=True)
-    p.add_argument("--algorithm", choices=("naive", "fast", "melancon"),
-                   default="fast")
-    p.add_argument("--trace", action="store_true",
-                   help="print contraction snapshots")
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser("trace", help="circular contraction snapshots")
-    common(p, word_arg=True)
-    p.set_defaults(func=_cmd_conjugate, trace=True)
-
-    p = sub.add_parser("enumerate", help="list members up to a length")
-    common(p)
-    p.add_argument("--max-len", type=int, required=True, metavar="N")
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip the growth-clause check (needed for rlex)")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("verify-hall", help="Hall/Viennot verdict for a policy")
-    common(p)
-    p.add_argument("--max-len", type=int, required=True, metavar="N")
-    p.set_defaults(func=_cmd_verify_hall)
-
-    p = sub.add_parser("lazard", help="elimination run with optional trace")
-    common(p)
-    p.add_argument("--max-len", type=int, required=True, metavar="N")
-    p.add_argument("--trace", action="store_true", help="print the step table")
-    p.add_argument("--kraft", type=int, default=None, metavar="L",
-                   help="print exact truncated sums at length L")
-    p.set_defaults(func=_cmd_lazard)
-
-    p = sub.add_parser("circular-check", help="circularity of the fixed-length code")
-    common(p)
-    p.add_argument("--length", type=int, required=True, metavar="L")
-    p.set_defaults(func=_cmd_circular_check)
-
-    p = sub.add_parser("power-scan", help="power-factorization deficit scan")
-    common(p)
-    p.add_argument("--max-len", type=int, required=True, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
-    p.set_defaults(func=_cmd_power_scan)
-
-    p = sub.add_parser("lyndon-check", help="Lyndon suffix criterion sweep")
-    common(p)
-    p.add_argument("--max-len", type=int, required=True, metavar="N")
-    p.set_defaults(func=_cmd_lyndon_check)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_selftest)
-
-    p = sub.add_parser("bench", help="CSV timing/comparison trends")
-    common(p)
-    p.add_argument("--max-len", type=int, default=8192, metavar="N")
-    p.set_defaults(func=_cmd_bench)
-
+    for name in _COMMANDS if command is None else (command,):
+        help_text, handler, arguments, defaults = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg_name, spec in arguments:
+            p.add_argument(arg_name, **spec)
+        p.set_defaults(func=handler, **defaults)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help and a missing or unknown command list every subcommand
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except NyldonError as exc:

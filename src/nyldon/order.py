@@ -60,20 +60,3 @@ def get_policy(policy_id: str) -> OrderPolicy:
 def register_policy(policy: OrderPolicy) -> None:
     _REGISTRY[policy.id] = policy
 
-
-class CountingPolicy(OrderPolicy):
-    """Wrapper that counts comparisons, for benchmarks and bound checks.
-
-    Its id differs from the base's, so a fast path keyed on a policy id (the
-    contraction engine's lex and rlex keys, which compare without the
-    policy) cannot bypass the count.
-    """
-
-    def __init__(self, base: OrderPolicy):
-        self.calls = 0
-
-        def counted(u, v):
-            self.calls += 1
-            return base.compare(u, v)
-
-        super().__init__(f"counted-{base.id}", counted, base.assume_nyldon_like)

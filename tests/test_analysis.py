@@ -31,7 +31,7 @@ from nyldon import (
     rotation_parse,
     sn_ka_check,
 )
-from nyldon.words import is_primitive
+from nyldon.words import is_lyndon, is_primitive
 
 
 def fixed_length_members(length):
@@ -177,6 +177,16 @@ def test_power_profile_takes_a_precomputed_conjugate():
     w = Word.parse("01111011011111011110111")
     for k in (1, 5, 7):
         assert power_profile(w, k, conjugate(w)) == power_profile(w, k)
+
+
+def test_deficit_belongs_to_the_word_not_its_class():
+    # the scan profiles the Lyndon rotation, so it reads 3 for this class
+    w = Word.parse("01111011011111011110111")
+    rep = Word.parse("01101111101111011101111")
+    assert is_lyndon(rep) and conjugate(rep) == conjugate(w)  # one class
+    assert power_profile(w, 7).K == 4
+    assert power_profile(rep, 7).K == 3
+    assert analysis._profile_rep((2, rep.letters, 7))[1] == 3
 
 
 def test_k_bound_scan_computes_one_conjugate_per_class(monkeypatch):

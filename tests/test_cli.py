@@ -111,7 +111,6 @@ def test_default_factor_loads_only_the_stack_factorizer():
         ("circular-check", "--length", "6"),
         ("power-scan", "--max-len", "6"),
         ("lyndon-check", "--max-len", "6"),
-        ("bench", "--max-len", "64"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -483,36 +482,119 @@ def test_lyndon_check(capsys):
     assert (code, out.strip().splitlines()[-1]) == (0, "ok: true")
 
 
-def test_bench_csv(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--max-len", "128")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,algorithm,comparisons,nanos"
-    assert len(lines) == 1 + 2 * 2  # n = 64 and 128, two algorithms each
-    for line in lines[1:]:
-        n, algorithm, comparisons, nanos = line.split(",")
-        assert algorithm in {"fast", "melancon"}
-        if algorithm == "fast":
-            # the stack factorizer honors the comparison bound; the
-            # contraction algorithm has no such guarantee
-            assert int(comparisons) <= 2 * int(n) - 1
-        else:
-            # every contraction comparison is counted, none bypassed
-            assert int(comparisons) > 0
-        assert int(nanos) > 0
+# The least argv each subcommand accepts.
+MINIMAL_ARGV = {
+    "factor": ("0110",),
+    "is-member": ("0110",),
+    "conjugate": ("0110",),
+    "trace": ("0110",),
+    "enumerate": ("--max-len", "3"),
+    "verify-hall": ("--max-len", "3"),
+    "lazard": ("--max-len", "3"),
+    "circular-check": ("--length", "3"),
+    "power-scan": ("--max-len", "3"),
+    "lyndon-check": ("--max-len", "3"),
+    "selftest": (),
+}
+
+
+def _parse_errors():
+    """(argv, the start of argparse's message) for each kind of usage error."""
+    for command, args in MINIMAL_ARGV.items():
+        yield (command, *args, "--bogus"), "unrecognized arguments: --bogus"
+        if args:  # selftest requires nothing
+            required = args[0] if args[0].startswith("--") else "word"
+            yield (command,), f"the following arguments are required: {required}"
+    yield ("factor", "01", "--algorithm", "x"), "argument --algorithm: invalid choice: 'x'"
+    yield ("enumerate", "--max-len", "x"), "argument --max-len: invalid int value: 'x'"
+    yield (), "the following arguments are required: command"
+    yield ("no-such-command",), "argument command: invalid choice: 'no-such-command'"
 
 
 def test_usage_errors(capsys):
+    # argparse's message as one error line, without its usage block
+    assert set(MINIMAL_ARGV) == set(cli._COMMANDS)
+    for argv, message in _parse_errors():
+        with pytest.raises(SystemExit) as exc:
+            cli.run(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, (argv, err)
+    # the unknown command's message still lists every subcommand
+    choices = err.split("(choose from ", 1)[1].rstrip(")\n").split(", ")
+    assert [c.strip("'") for c in choices] == list(cli._COMMANDS)
+    code, out, err = run_cli(capsys, "factor", "abc")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert run_cli(capsys, "factor", "0110") == (0, "0 1 10\n", "")
+    assert built == ["nyldon", "nyldon factor"]
+
+
+TOP_HELP = """\
+usage: nyldon [-h]
+              {factor,is-member,conjugate,trace,enumerate,verify-hall,lazard,circular-check,power-scan,lyndon-check,selftest}
+              ...
+
+Factorizations, conjugates, generated sets, elimination runs, and code checks
+for Nyldon-style word families.
+
+positional arguments:
+  {factor,is-member,conjugate,trace,enumerate,verify-hall,lazard,circular-check,power-scan,lyndon-check,selftest}
+    factor              factorization into members
+    is-member           membership test
+    conjugate           distinguished conjugate of a primitive word
+    trace               circular contraction snapshots
+    enumerate           list members up to a length
+    verify-hall         Hall/Viennot verdict for a policy
+    lazard              elimination run with optional trace
+    circular-check      circularity of the fixed-length code
+    power-scan          power-factorization deficit scan
+    lyndon-check        Lyndon suffix criterion sweep
+    selftest            run the acceptance suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+FACTOR_HELP = """\
+usage: nyldon factor [-h] [--alphabet K] [--policy ID] [--json]
+                     [--algorithm {naive,fast,melancon}] [--trace]
+                     word
+
+positional arguments:
+  word                  word in shared text syntax
+
+options:
+  -h, --help            show this help message and exit
+  --alphabet K          alphabet size (default 2)
+  --policy ID           order policy id (default lex)
+  --json                JSON output
+  --algorithm {naive,fast,melancon}
+  --trace               print contraction snapshots before the factors
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected", [(("--help",), TOP_HELP), (("factor", "--help"), FACTOR_HELP)],
+    ids=["top", "factor"],
+)
+def test_help_matches_its_golden_text(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
     with pytest.raises(SystemExit) as exc:
-        cli.run(["factor"])  # missing word
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        cli.run(["no-such-command"])
-    capsys.readouterr()
-    code, _, err = run_cli(capsys, "factor", "abc")
-    assert code == 2
-    assert err.startswith("error:")
+        cli.run(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,6 @@ from nyldon import (
 )
 from nyldon.melancon import _sort_key
 from nyldon.oracle import is_nyldon_bruteforce
-from nyldon.order import CountingPolicy
 from nyldon.words import duval_lyndon_factorization, is_lyndon, is_primitive
 
 # The lengths of the removed engine cutoffs: words below 32 letters ran on a
@@ -48,6 +47,24 @@ def _colex(u, v):
 
 
 COLEX = OrderPolicy("colex", _colex)
+
+
+class CountingPolicy(OrderPolicy):
+    """A policy that counts its comparisons, for the bound checks.
+
+    Its id differs from the base's, so a fast path keyed on a policy id (the
+    contraction engine's lex and rlex keys, which compare without the
+    policy) cannot bypass the count.
+    """
+
+    def __init__(self, base: OrderPolicy):
+        self.calls = 0
+
+        def counted(u, v):
+            self.calls += 1
+            return base.compare(u, v)
+
+        super().__init__(f"counted-{base.id}", counted, base.assume_nyldon_like)
 
 primitive_st = (
     st.lists(st.integers(0, 1), min_size=2, max_size=40)

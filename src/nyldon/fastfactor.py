@@ -12,8 +12,7 @@ incoming factor is one letter, that test decides: a tie means it is a prefix
 of the top factor, so not greater. Only a longer factor's tie compares
 slices of the word's letters (as bytes when the alphabet allows), and only
 the first min(|u|, |v|) letters of each factor. The loop does this inline;
-`ComparisonEngine` chooses the letters' storage, whose slices are also the
-contraction engine's lex keys.
+`ComparisonEngine` chooses the letters' storage.
 
 Once the loop has read a suffix, its stack is that suffix's factorization:
 what it does next depends only on the stack and the letters to the left.

@@ -79,9 +79,9 @@ def _member_pairs(members: frozenset[tuple[int, ...]]):
     """Every (f, g, fg) with f, g and their product fg all members."""
     for fg in members:
         for k in range(1, len(fg)):
-            f, g = fg[:k], fg[k:]
-            if f in members and g in members:
-                yield f, g, fg
+            # the suffix first: most prefixes of a lex member are members
+            if fg[k:] in members and fg[:k] in members:
+                yield fg[:k], fg[k:], fg
 
 
 def generate(
@@ -136,21 +136,35 @@ def generate(
     return gset
 
 
+def _broken_clauses(gset: oracle.GeneratedSet, policy: OrderPolicy | None) -> dict:
+    """Each clause's name mapped to the member pairs (f, g) whose member
+    product fg breaks it: the one definition of the clauses, from one pass."""
+    key = oracle.member_keys(gset, policy)
+    left, growth, right = [], [], []
+    for f, g, fg in _member_pairs(gset.member_tuples):
+        kf, kfg = key[f], key[fg]
+        if kfg >= kf:
+            left.append((f, g))
+        if kf >= kfg:
+            growth.append((f, g))
+        if kfg <= key[g]:
+            right.append((f, g))
+    return {"left_hall": left, "nyldon_like": growth, "right_hall": right}
+
+
+def _as_words(pairs, clause: str, alphabet: Alphabet) -> tuple:
+    """(f, g, clause) triples of Words, sorted by (f, g), so that no list of
+    counterexamples follows the member set's hash layout."""
+    return tuple((Word(f, alphabet), Word(g, alphabet), clause) for f, g in sorted(pairs))
+
+
 def validate_nyldon_like(
     gset: oracle.GeneratedSet, policy: OrderPolicy | None = None
 ) -> NyldonLikeCheck:
     """Check f < fg for every pair of members whose product is a member;
     counterexamples are sorted by (f, g), as `verify_hall` sorts its own."""
-    policy = policy or get_policy(gset.policy_id)
-    pairs = sorted(
-        (f, g)
-        for f, g, fg in _member_pairs(gset.member_tuples)
-        if policy.compare(f, fg) >= 0
-    )
-    violations = tuple(
-        (Word(f, gset.alphabet), Word(g, gset.alphabet), "nyldon_like")
-        for f, g in pairs
-    )
+    pairs = _broken_clauses(gset, policy)["nyldon_like"]
+    violations = _as_words(pairs, "nyldon_like", gset.alphabet)
     return NyldonLikeCheck(not violations, violations)
 
 
@@ -170,9 +184,8 @@ def verify_factorization_property(
     if test_len > gset.max_len:
         raise ValueError("test_len exceeds the set's max_len")
     check_word_budget("sweep", gset.alphabet.size, test_len, budget)
-    policy = policy or get_policy(gset.policy_id)
     for tup, count in oracle.parse_sweep(
-        gset.alphabet.size, test_len, gset.member_tuples, policy.compare,
+        gset.alphabet.size, test_len, oracle.member_keys(gset, policy),
         lambda count: count != 1, least=True,
     ):
         return FactorizationCheck(False, Word(tup, gset.alphabet), count)
@@ -187,28 +200,17 @@ def verify_hall(
     """Evaluate all Hall clauses over member pairs with member product;
     counterexamples are sorted by (clause, f, g)."""
     policy = policy or get_policy(gset.policy_id)
-    counterexamples: list[tuple[Word, Word, str]] = []
-    right = left = growth = True
-    for f, g, fg in _member_pairs(gset.member_tuples):
-        wf, wg = Word(f, gset.alphabet), Word(g, gset.alphabet)
-        if policy.compare(fg, g) <= 0:
-            right = False
-            counterexamples.append((wf, wg, "right_hall"))
-        if policy.compare(fg, f) >= 0:
-            left = False
-            counterexamples.append((wf, wg, "left_hall"))
-        if policy.compare(f, fg) >= 0:
-            growth = False
-            counterexamples.append((wf, wg, "nyldon_like"))
-    # sorted, so the list does not follow the member set's hash layout
-    counterexamples.sort(key=lambda c: (c[2], c[0].letters, c[1].letters))
+    broken = _broken_clauses(gset, policy)
     factorization = verify_factorization_property(gset, policy, test_len)
+    right, left = not broken["right_hall"], not broken["left_hall"]
     return HallVerdict(
         policy_id=policy.id,
         is_factorization=factorization.ok,
         is_right_hall=right,
         is_left_hall=left,
         is_viennot=right and left,
-        nyldon_like_ok=growth,
-        counterexamples=tuple(counterexamples),
+        nyldon_like_ok=not broken["nyldon_like"],
+        counterexamples=tuple(  # the clauses in name order, as `broken` lists them
+            c for clause, pairs in broken.items() for c in _as_words(pairs, clause, gset.alphabet)
+        ),
     )

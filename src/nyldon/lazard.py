@@ -405,11 +405,11 @@ def code_check(
             raise ValueError("code words must share one alphabet")
         if len(w) == 0:
             raise ValueError("code words must be nonempty")
-    codewords = frozenset(w.letters for w in pool)
+    codewords = dict.fromkeys(w.letters for w in pool)  # unordered: every key None
 
     check_word_budget("decodability sweep", alphabet.size, max_len, budget)
     for tup, count in parse_sweep(
-        alphabet.size, max_len, codewords, None, lambda count: count > 1, least=True
+        alphabet.size, max_len, codewords, lambda count: count > 1, least=True
     ):
         return CodeCheck(False, Word(tup, alphabet), count)
     return CodeCheck(True, None, None)

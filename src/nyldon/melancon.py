@@ -11,15 +11,8 @@ blocks it is emitted as the next factor.
 
 One engine serves both forms and the traces: a heap of blocks, each entry
 (key, ticket, block, version), with stale entries skipped by version. The key
-is the block's sort key under the policy, so heapq compares keys itself:
-
-* lex: the block's slice of the letters, as bytes when every letter is below
-  256 (fastfactor's `ComparisonEngine` storage), else as a tuple;
-* rlex: the complemented letters (size - 1 - c) plus a closing letter equal
-  to the alphabet size, so a proper prefix sorts after the words it begins;
-* any other policy: `functools.cmp_to_key(policy.compare)` over tuple slices.
-
-Lex and rlex keys compare in C, with no comparator call.
+is the block's sort key from the policy's `keys` (see `order`), so heapq
+compares keys itself, in C under lex and rlex.
 
 A phase is the run of pops that share one key, the current minimum. Each of
 its blocks is contracted into its left neighbour, whose grown key lies above
@@ -59,11 +52,9 @@ under a custom order that sets the flag.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from functools import cmp_to_key
 from itertools import count as _fresh
 
 from .errors import NotPrimitiveError, PolicyViolationError
-from .fastfactor import ComparisonEngine
 from .order import LEX, OrderPolicy
 from .words import Factorization, Word, _Frozen, _unchecked_word, is_primitive
 from .words import minimal_period
@@ -89,19 +80,6 @@ class ContractionTrace(_Frozen):
         return self.snapshots[index]
 
 
-def _sort_key(base: tuple[int, ...], policy: OrderPolicy, size: int):
-    """(start, stop) -> the sort key of base[start:stop] under the policy."""
-    if policy.id == "lex":
-        text = ComparisonEngine(base).letters
-        return lambda start, stop: text[start:stop]
-    if policy.id == "rlex":
-        text = ComparisonEngine(tuple(size - 1 - c for c in base) + (size,)).letters
-        closing = text[-1:]
-        return lambda start, stop: text[start:stop] + closing
-    key = cmp_to_key(policy.compare)
-    return lambda start, stop: key(base[start:stop])
-
-
 class _Node:
     __slots__ = ("start", "stop", "key", "prev", "next", "version")
 
@@ -121,7 +99,7 @@ def _contract(word: Word, policy: OrderPolicy, circular: bool, snapshots=None):
     alphabet = word.alphabet
     n = len(letters)
     base = letters + letters if circular else letters
-    key_of = _sort_key(base, policy, alphabet.size)
+    key_of = policy.keys(base, alphabet.size)
     check_growth = policy.assume_nyldon_like
 
     nodes = [_Node(i, key_of(i, i + 1)) for i in range(n)]

@@ -10,9 +10,10 @@ module-level caches, which makes exhaustive sweeps over all short words cheap:
 every substring seen is itself a short word that other sweep entries share.
 
 The one parse-count DP is one step, `_parse_row`: the parses of a word into
-an explicit set (nondecreasing under an order, if one is given) that end at
-its last letter, from the same rows of its proper prefixes. `parse_count`
-folds it over one word, for membership in a generated set. `parse_sweep`
+an explicit set, nondecreasing in the sort keys the set maps its members to
+(`member_keys`; every parse counts when every key is None), that end at its
+last letter, from the same rows of its proper prefixes. `parse_count` folds
+it over one word, for membership in a generated set. `parse_sweep`
 walks every word up to a length depth first with one row per prefix on a
 stack, so a word of length t costs O(t) member lookups instead of O(t^2);
 unique factorization (`hallsets`), unique decodability (`lazard`) and
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import ge
-from typing import Callable
+from typing import Any, Callable, Mapping
+from weakref import ref
 
 from .errors import DEFAULT_WORD_BUDGET, InvariantError, check_word_budget
 from .order import OrderPolicy, get_policy
@@ -78,7 +80,8 @@ def is_nyldon_bruteforce(word: Word) -> bool:
 def member_by_recursion(policy: OrderPolicy) -> Callable[[Word], bool]:
     """Membership under `policy` by `_recursion`, with no set enumerated; its
     caches live as long as the returned test, so none grows across policies."""
-    member, _ = _recursion(lambda head, bound: policy.compare(head, bound) >= 0)
+    key = policy.key
+    member, _ = _recursion(lambda head, bound: key(head) >= key(bound))
     return lambda word: member(word.letters)
 
 
@@ -162,51 +165,72 @@ class GeneratedSet(_Frozen):
         return counts
 
 
-def _parse_row(rows, letters, members, compare):
-    """The parses of letters[:t] into `members` that end at letter t, where
-    t = len(rows) and rows[i] holds those of letters[:i]: one (last factor,
-    number of parses) pair per member letters[i:t] that extends a parse of
-    letters[:i], nondecreasingly when `compare` is given. The empty prefix's
-    row is [(None, 1)]."""
+_held: tuple = (None, None, None)  # (weak ref to the last member set, policy, keys)
+
+
+def _forget(_) -> None:
+    global _held
+    _held = (None, None, None)
+
+
+def member_keys(gset: GeneratedSet, policy: OrderPolicy | None = None) -> dict:
+    """Each member of `gset` mapped to its sort key under `policy` (by
+    default the set's own), for the parse DP; not to be changed. The map of
+    the last member set is kept while that set lives, so the checks of one
+    set (a cross-check, a Hall verdict) build it once."""
+    global _held
+    policy = policy or get_policy(gset.policy_id)
+    members = gset.member_tuples
+    held, held_policy, keys = _held
+    if held is None or held() is not members or held_policy is not policy:
+        keys = {m: policy.key(m) for m in members}
+        _held = ref(members, _forget), policy, keys
+    return keys
+
+
+def _parse_row(rows, letters, keys):
+    """The parses of letters[:t] into the members of `keys` that end at
+    letter t, where t = len(rows) and rows[i] holds those of letters[:i]: one
+    (key of the last factor, number of parses) pair per member letters[i:t]
+    that extends a parse of letters[:i] with a key at or above its last one.
+    The empty prefix's row is [(None, 1)]; any factor extends a last key of
+    None, so with every key None every parse counts."""
     t = len(rows)
     row = []
     i = 0
     for parses in rows:
         if parses:
             factor = letters[i:t]
-            if factor in members:
+            if factor in keys:
+                key = keys[factor]
                 count = 0
                 for last, c in parses:
-                    if last is None or compare is None or compare(factor, last) >= 0:
+                    if last is None or key >= last:
                         count += c
                 if count:
-                    row.append((factor, count))
+                    row.append((key, count))
         i += 1
     return row
 
 
-def parse_count(
-    letters: tuple[int, ...],
-    members: frozenset[tuple[int, ...]],
-    compare: Callable[[tuple[int, ...], tuple[int, ...]], int] | None = None,
-) -> int:
-    """The number of ways to write `letters` as a sequence of `members`.
+def parse_count(letters: tuple[int, ...], keys: Mapping[tuple[int, ...], Any]) -> int:
+    """The number of ways to write `letters` as a sequence of members of
+    `keys`, a mapping from each member to its sort key.
 
-    With a three-way `compare`, only nondecreasing sequences count: each
-    factor compares >= 0 against the one before it. Without it this counts
-    the parses of `letters` into the code `members`.
+    Only nondecreasing sequences count: each factor's key is at or above the
+    one before it. With every key None (`dict.fromkeys(code)`) this counts
+    the parses of `letters` into the code.
     """
     rows = [[(None, 1)]]
     for _ in letters:
-        rows.append(_parse_row(rows, letters, members, compare))
+        rows.append(_parse_row(rows, letters, keys))
     return sum(c for _, c in rows[-1])
 
 
 def parse_sweep(
     alphabet_size: int,
     max_len: int,
-    members: frozenset[tuple[int, ...]],
-    compare: Callable[[tuple[int, ...], tuple[int, ...]], int] | None,
+    keys: Mapping[tuple[int, ...], Any],
     fails: Callable[[int], bool],
     least: bool = False,
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -227,7 +251,7 @@ def parse_sweep(
         nonlocal limit
         for c in range(alphabet_size):
             child = word + (c,)
-            row = _parse_row(rows, child, members, compare)
+            row = _parse_row(rows, child, keys)
             count = sum(n for _, n in row)
             if fails(count):
                 found.append((child, count))
@@ -255,9 +279,8 @@ def is_member_bruteforce(word: Word, gset: GeneratedSet) -> bool:
         raise ValueError("word and generated set use different alphabets")
     if len(word) > gset.max_len:
         raise ValueError(f"word longer than the set's max_len {gset.max_len}")
-    policy = get_policy(gset.policy_id)
-    held = word.letters in gset.member_tuples
-    return parse_count(word.letters, gset.member_tuples, policy.compare) == held
+    keys = member_keys(gset)
+    return parse_count(word.letters, keys) == (word.letters in keys)
 
 
 def enumerate_members(
@@ -274,13 +297,12 @@ def enumerate_members(
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     check_word_budget("enumeration", alphabet.size, max_len, budget)
-    members: set[tuple[int, ...]] = {(c,) for c in range(alphabet.size)}
+    key = policy.key
+    keys = {(c,): key((c,)) for c in range(alphabet.size)}  # member -> key
     for n in range(2, max_len + 1):
-        found = parse_sweep(
-            alphabet.size, n, frozenset(members), policy.compare, lambda c: c == 0
-        )
-        members.update(word for word, _ in found)
-    return GeneratedSet(alphabet, max_len, policy.id, frozenset(members))
+        found = parse_sweep(alphabet.size, n, keys, lambda c: c == 0)
+        keys.update((word, key(word)) for word, _ in found)
+    return GeneratedSet(alphabet, max_len, policy.id, frozenset(keys))
 
 
 def enumerate_nyldon(

@@ -258,11 +258,12 @@ class Factorization(_Frozen):
         policy_id, _, direction = self.order_witness.partition(":")
         from .order import get_policy
 
-        cmp = get_policy(policy_id).compare
-        pairs = zip(self.factors, self.factors[1:])
+        key = get_policy(policy_id).key
+        keys = [key(f.letters) for f in self.factors]
+        pairs = zip(keys, keys[1:])
         if direction == "nonincreasing":
-            return all(cmp(a.letters, b.letters) >= 0 for a, b in pairs)
-        return all(cmp(a.letters, b.letters) <= 0 for a, b in pairs)
+            return all(a >= b for a, b in pairs)
+        return all(a <= b for a, b in pairs)
 
 
 def _failure_function(letters: tuple[int, ...]) -> list[int]:

@@ -152,3 +152,35 @@ def test_source_has_no_assert_environ_read_or_stray_budget_raise():
                 if isinstance(exc, ast.Name) and exc.id == "BudgetExceededError":
                     found.append(f"{name}:{node.lineno}: raise BudgetExceededError")
     assert found == []
+
+
+BUILT_IN_ORDERS = ("lex", "rlex")
+
+
+def _constants(node):
+    """The constants `node` is or lists: `"lex"`, or `("lex", "rlex")`."""
+    if isinstance(node, ast.Constant):
+        return [node.value]
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return [n.value for n in node.elts if isinstance(n, ast.Constant)]
+    return []
+
+
+def test_orders_are_read_only_through_their_keys():
+    # An order is defined in `order`, and every other module compares its
+    # keys: none calls a policy's three-way compare, and none but the CLI
+    # (whose oracle route is lex by definition) branches on a built-in id.
+    found = []
+    for name, tree in _source_trees():
+        if name == "order.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "compare":
+                found.append(f"{name}:{node.lineno}: .compare")
+            elif isinstance(node, ast.Compare) and name != "cli.py":
+                operands = [node.left, *node.comparators]
+                reads_id = any(isinstance(o, ast.Attribute) and o.attr == "id" for o in operands)
+                named = [value for o in operands for value in _constants(o)]
+                if reads_id and any(value in BUILT_IN_ORDERS for value in named):
+                    found.append(f"{name}:{node.lineno}: .id compared with an order's id")
+    assert found == []

@@ -14,12 +14,13 @@ from nyldon import (
     Word,
     generate,
     melancon,
+    nyldon_factorize,
     oracle,
     verify_hall,
 )
 from nyldon.hallsets import FactorizationCheck, validate_nyldon_like
 from nyldon.hallsets import verify_factorization_property
-from nyldon.order import OrderPolicy, register_policy
+from nyldon.order import OrderPolicy, get_policy, register_policy
 from nyldon.words import is_lyndon, words_up_to
 
 
@@ -158,6 +159,17 @@ def test_custom_policy_roundtrip():
     verdict = verify_hall(gset, COLEX)
     assert verdict.is_factorization  # uniqueness holds for any total order
     assert gset.member_tuples >= {(0,), (1,)}
+
+
+def test_register_policy_refuses_a_held_id():
+    # Another order registered under "lex" once replaced LEX for every
+    # lookup by name, and a stack factorization's lex witness then failed.
+    w = Word.parse("0110100")
+    with pytest.raises(ValueError, match="'lex'"):
+        register_policy(OrderPolicy("lex", _colex))
+    assert get_policy("lex") is LEX
+    assert nyldon_factorize(w).verify(w)
+    register_policy(LEX)  # the same policy again is a no-op
 
 
 def test_counts_by_length_lex():

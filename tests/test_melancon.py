@@ -29,7 +29,6 @@ from nyldon import (
     nyldon_factorize,
     words_up_to,
 )
-from nyldon.melancon import _sort_key
 from nyldon.oracle import is_nyldon_bruteforce
 from nyldon.words import duval_lyndon_factorization, is_lyndon, is_primitive
 
@@ -50,12 +49,9 @@ COLEX = OrderPolicy("colex", _colex)
 
 
 class CountingPolicy(OrderPolicy):
-    """A policy that counts its comparisons, for the bound checks.
-
-    Its id differs from the base's, so a fast path keyed on a policy id (the
-    contraction engine's lex and rlex keys, which compare without the
-    policy) cannot bypass the count.
-    """
+    """A policy that counts its comparisons, for the bound checks. It is
+    given only by a compare, so it keys blocks through `cmp_to_key`, and
+    every comparison the engine makes is counted."""
 
     def __init__(self, base: OrderPolicy):
         self.calls = 0
@@ -250,11 +246,38 @@ def test_growth_check_reports_the_blocks_as_words(run):
 
 
 def test_sort_keys_order_like_the_policy():
+    # `key` on a word and `keys` on its slice of a longer word both order
+    # the words as `compare` does, with no two words sharing a key.
     words = [()] + [w.letters for w in words_up_to(TERNARY, 5)]
     for policy in (LEX, RLEX, COLEX):
-        keys = {t: _sort_key(t, policy, 3)(0, len(t)) for t in words}
-        by_key = sorted(words, key=keys.__getitem__)
-        assert by_key == sorted(words, key=cmp_to_key(policy.compare)), policy
+        by_compare = sorted(words, key=cmp_to_key(policy.compare))
+        slices = {t: policy.keys((2,) + t + (0,), 3)(1, len(t) + 1) for t in words}
+        for key in (policy.key, slices.__getitem__):
+            keys = [key(t) for t in by_compare]
+            assert all(a < b for a, b in zip(keys, keys[1:])), policy
+            assert sorted(words, key=key) == by_compare, policy
+
+
+def test_a_compare_only_policy_contracts_through_its_compare():
+    # A policy given only by a compare keys its blocks by that compare,
+    # whatever its id: one named "lex" counts every comparison, and gives
+    # the conjugates and factorizations LEX gives.
+    calls = 0
+
+    def counting_compare(u, v):
+        nonlocal calls
+        calls += 1
+        return LEX.compare(u, v)
+
+    policy = OrderPolicy("lex", counting_compare, assume_nyldon_like=True)
+    for rep in lyndon_words(BINARY, 9):
+        if len(rep) < 2:
+            continue
+        w = rep.rotate(len(rep) // 2)
+        for run in (conjugate, factorize):
+            calls = 0
+            assert run(w, policy) == run(w, LEX), (run.__name__, w)
+            assert calls > 0, (run.__name__, w)
 
 
 def test_rlex_policy_yields_lyndon_conjugates():

@@ -26,7 +26,7 @@ from nyldon import (
 from nyldon.acceptance import TABLE1_COUNTS, TABLE1_WORDS
 from nyldon.hallsets import verify_factorization_property
 from nyldon.oracle import member_by_recursion, parse_count, parse_sweep
-from nyldon.order import RLEX
+from nyldon.order import RLEX, OrderPolicy
 from nyldon.words import is_lyndon
 
 
@@ -202,40 +202,49 @@ def _colex(u, v):
     return -1 if ru < rv else 1
 
 
-@pytest.mark.parametrize(
-    "compare", [None, LEX.compare, RLEX.compare], ids=["none", "lex", "rlex"]
-)
+def _keys(members, policy):
+    """The parse DP's input: each member's sort key under `policy`, or None
+    for every member without one. The reference counts by `policy.compare`,
+    so the two meet only through the order itself."""
+    if policy is None:
+        return dict.fromkeys(members), None
+    return {m: policy.key(m) for m in members}, policy.compare
+
+
+@pytest.mark.parametrize("policy", [None, LEX, RLEX], ids=["none", "lex", "rlex"])
 @settings(max_examples=150)
 @given(words_and_members())
-def test_parse_count_matches_every_cut(compare, case):
+def test_parse_count_matches_every_cut(policy, case):
     letters, members = case
+    keys, compare = _keys(members, policy)
     expected = _parse_count_bruteforce(letters, members, compare)
-    assert parse_count(letters, members, compare) == expected
+    assert parse_count(letters, keys) == expected
 
 
 @pytest.mark.parametrize(
-    "compare",
-    [None, LEX.compare, RLEX.compare, _colex],
+    "policy",
+    [None, LEX, RLEX, OrderPolicy("colex", _colex)],
     ids=["none", "lex", "rlex", "colex"],
 )
 @settings(max_examples=25)
 @given(member_sets())
-def test_sweep_counts_match_every_cut(compare, case):
+def test_sweep_counts_match_every_cut(policy, case):
     size, members = case
+    keys, compare = _keys(members, policy)
     bound = 6 if size == 2 else 4
-    assert parse_sweep(size, 0, members, compare, lambda count: True) == []
-    swept = parse_sweep(size, bound, members, compare, lambda count: True)
+    assert parse_sweep(size, 0, keys, lambda count: True) == []
+    swept = parse_sweep(size, bound, keys, lambda count: True)
     words = [word for word, _ in swept]
     # every word once, in lex order within a length (the sort is stable)
     every = [t for n in range(1, bound + 1) for t in itertools.product(range(size), repeat=n)]
     assert sorted(words, key=len) == every
     for word, count in swept:
         assert count == _parse_count_bruteforce(word, members, compare)
-        assert count == parse_count(word, members, compare)
+        assert count == parse_count(word, keys)
     # with least=True, the shortlex-least failure of each predicate
     for fails in (lambda c: c != 1, lambda c: c > 1, lambda c: c == 0):
         failures = sorted(((w, c) for w, c in swept if fails(c)), key=lambda f: len(f[0]))
-        assert parse_sweep(size, bound, members, compare, fails, least=True) == failures[:1]
+        assert parse_sweep(size, bound, keys, fails, least=True) == failures[:1]
 
 
 @pytest.mark.parametrize(
